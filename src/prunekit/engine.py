@@ -14,6 +14,17 @@ Convolutions carry no bias term: every reference model normalises right after
 each convolution, and a bias-free convolution maps an all-zero input to an
 all-zero output, which is what lets fully pruned branches collapse without
 changing the network function. FullyConnected keeps its bias.
+
+Convolution layout: the input is zero-padded, made channel-major and split
+into its ``sh * sw`` stride phases (fewer when the kernel is narrower than
+the stride), giving planes of shape ``(phases, c_in, b * hq * wq)`` over a
+``hq x wq`` grid per image. In that layout the window of every kernel tap
+``(ki, kj)`` is one contiguous slice of one phase plane, so forward is
+``kh * kw`` block copies and one GEMM over the whole grid, cropped back to
+NCHW; ``dx`` is one GEMM against the stacked kernel followed by ``kh * kw``
+slice-adds and one copy out of the phases; ``dkernel`` is one GEMM against
+the same tap slices, rebuilt for that GEMM and released after it. A
+convolution's tape record keeps only the padded planes.
 """
 from __future__ import annotations
 
@@ -332,6 +343,39 @@ def _op_concat(node, xs, w, x0, training, mom):
     return y, fn
 
 
+def _phase_axis(n, k, s, p, n_out):
+    """Lay one spatial axis of a convolution out in stride phases.
+
+    Phase ``a`` holds the padded rows ``u * s + a``, and each image takes
+    ``pitch`` phase rows. Returns ``(pitch, spans)``, where ``spans[a]``
+    pairs the input rows of phase ``a`` (a strided slice) with the phase rows
+    they sit in; rows that no output reads are left out.
+
+    A tap read past an image's last phase row lands on the next image's
+    first rows. The pitch is the smallest one from ``n_out`` up for which
+    every such read is bottom padding in truth and top padding in storage,
+    so adjacent images share their zero rows; ``n_out + (k - 1) // s``
+    always qualifies.
+    """
+    # reach[a]: phase rows of phase a that the taps read, per image. Reads
+    # past the pitch run from phase row `pitch` to `reach[a] - 1`.
+    reach = [n_out + (k - 1 - a) // s for a in range(min(s, k))]
+    pitch = n_out
+    while not all(
+        pitch * s + a >= p + n and (r - 1 - pitch) * s + a < p
+        for a, r in enumerate(reach)
+        if r > pitch
+    ):
+        pitch += 1
+    spans = []
+    for a in range(len(reach)):
+        r0 = (a - p) % s
+        i0 = (r0 + p) // s
+        count = max(0, min(len(range(r0, n, s)), pitch - i0))
+        spans.append((slice(r0, r0 + count * s, s), slice(i0, i0 + count)))
+    return pitch, spans
+
+
 def _op_conv(node, xs, w, x0, training, mom):
     x = xs[0]
     kernel = w["kernel"]
@@ -350,29 +394,52 @@ def _op_conv(node, xs, w, x0, training, mom):
     if oh < 1 or ow < 1:
         raise ShapeMismatch(f"convolution {node.id!r} output would be empty for input {x.shape}")
 
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    if ci == 0:
-        cols = np.zeros((b * oh * ow, 0), dtype=x.dtype)
-    else:
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        win = win[:, :, ::sh, ::sw, :, :]
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-            b * oh * ow, ci * kh * kw
-        )
-    kmat = kernel.reshape(co, -1)
-    y = np.ascontiguousarray((cols @ kmat.T).reshape(b, oh, ow, co).transpose(0, 3, 1, 2))
+    # Padded polyphase layout (see module docstring). Output position n of
+    # the (b, hq, wq) grid reads tap (ki, kj) from phase (ki % sh, kj % sw) at
+    # n + offset, so each tap window is one contiguous slice of n_out values;
+    # grid positions past (oh, ow) are computed and cropped. Each plane ends
+    # in a zero tail that keeps the last tap's slice in bounds.
+    hq, row_spans = _phase_axis(h, kh, sh, ph, oh)
+    wq, col_spans = _phase_axis(wdt, kw, sw, pw, ow)
+    n_out = b * hq * wq
+    taps = [
+        (ki % sh, kj % sw, (ki // sh) * wq + kj // sw) for ki in range(kh) for kj in range(kw)
+    ]
+    phases = [
+        (a, c, xr, xc, gr, gc)
+        for a, (xr, gr) in enumerate(row_spans)
+        for c, (xc, gc) in enumerate(col_spans)
+    ]
+
+    planes = np.zeros((len(row_spans), len(col_spans), ci, n_out + taps[-1][2]), dtype=x.dtype)
+    grid = planes[..., :n_out].reshape(*planes.shape[:3], b, hq, wq)
+    for a, c, xr, xc, gr, gc in phases:
+        grid[a, c, :, :, gr, gc] = x[:, :, xr, xc].transpose(1, 0, 2, 3)
+
+    def gather():
+        cols = np.empty((kh * kw, ci, n_out), dtype=planes.dtype)
+        for t, (a, c, d) in enumerate(taps):
+            cols[t] = planes[a, c, :, d:d + n_out]
+        return cols.reshape(kh * kw * ci, n_out)
+
+    kmat = kernel.transpose(0, 2, 3, 1).reshape(co, kh * kw * ci)
+    y = (kmat @ gather()).reshape(co, b, hq, wq)[:, :, :oh, :ow]
+    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
     def fn(gy):
-        gmat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(b * oh * ow, co)
-        dkernel = (gmat.T @ cols).reshape(kernel.shape)
-        dcols = gmat @ kmat
-        dwin = dcols.reshape(b, oh, ow, ci, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        dxp = np.zeros((b, ci, h + 2 * ph, wdt + 2 * pw), dtype=gy.dtype)
-        for ki in range(kh):
-            for kj in range(kw):
-                dxp[:, :, ki:ki + sh * oh:sh, kj:kj + sw * ow:sw] += dwin[:, :, ki, kj]
-        dx = dxp[:, :, ph:ph + h, pw:pw + wdt] if (ph or pw) else dxp
-        return [dx], {("w", node.id, "kernel"): dkernel}
+        gmat = np.zeros((co, b, hq, wq), dtype=gy.dtype)
+        gmat[:, :, :oh, :ow] = gy.transpose(1, 0, 2, 3)
+        gmat = gmat.reshape(co, n_out)
+        dkernel = (gather() @ gmat.T).reshape(kh, kw, ci, co).transpose(3, 2, 0, 1)
+        dcols = (kmat.T @ gmat).reshape(kh * kw, ci, n_out)
+        dplanes = np.zeros_like(planes)
+        for t, (a, c, d) in enumerate(taps):
+            dplanes[a, c, :, d:d + n_out] += dcols[t]
+        dgrid = dplanes[..., :n_out].reshape(grid.shape)
+        dx = np.zeros((b, ci, h, wdt), dtype=gy.dtype)
+        for a, c, xr, xc, gr, gc in phases:
+            dx[:, :, xr, xc] = dgrid[a, c, :, :, gr, gc].transpose(1, 0, 2, 3)
+        return [dx], {("w", node.id, "kernel"): np.ascontiguousarray(dkernel)}
 
     return y, fn
 

@@ -65,7 +65,9 @@ class Optimizer:
         untouched; non-finite gradients abort the step."""
         cfg = self.config
         rate = cfg.lr if lr is None else lr
-        self.t += 1
+        # Validate every gradient before mutating anything, so a rejected
+        # step leaves parameters, slots and the step count untouched.
+        updates = []
         for key in sorted(grads):
             if key not in params:
                 continue
@@ -73,6 +75,9 @@ class Optimizer:
             g = np.asarray(grads[key], dtype=p.dtype)
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient(f"gradient for {key!r} contains NaN or Inf")
+            updates.append((key, p, g))
+        self.t += 1
+        for key, p, g in updates:
             if cfg.weight_decay and key[0] == "w" and key[2] in _DECAYED:
                 g = g + cfg.weight_decay * p
             slot = self.slots.setdefault(key, {})

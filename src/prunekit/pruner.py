@@ -20,10 +20,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .accounting import structure_measures
-from .engine import Weights, forward
+from .engine import BN_EPS, Weights, forward
 from .errors import (
     EmptyNetwork,
     GraphStructureError,
+    InvalidConfig,
     LengthMismatch,
     NoFoldTarget,
     ShapeDrift,
@@ -51,6 +52,8 @@ def threshold_masks(gates: GateSet, tau: float, min_keep: int = 0) -> MaskSet:
     threshold would otherwise empty below it; the default lets groups die
     entirely, which the rewriter turns into operator removal.
     """
+    if not 0.0 <= tau < 1.0:
+        raise InvalidConfig(f"threshold must lie in [0, 1), got {tau}")
     masks: dict[int, np.ndarray] = {}
     for gid in sorted(gates.values):
         gains = sigma(gates.values[gid], gates.steepness)
@@ -480,7 +483,7 @@ def fold_gates(
                     )
                 arrs = new_weights[bn]
                 g = gains.astype(arrs["gamma"].dtype)
-                inv = 1.0 / np.sqrt(arrs["running_var"].astype(np.float64) + 1e-5)
+                inv = 1.0 / np.sqrt(arrs["running_var"].astype(np.float64) + BN_EPS)
                 correction = (
                     arrs["gamma"].astype(np.float64)
                     * arrs["running_mean"].astype(np.float64)

@@ -97,6 +97,29 @@ def naive_conv(x: np.ndarray, kernel: np.ndarray, stride, padding) -> np.ndarray
     return y
 
 
+def naive_conv_backward(x: np.ndarray, kernel: np.ndarray, gy: np.ndarray, stride, padding):
+    """Direct-loop gradients ``(dx, dkernel)`` of :func:`naive_conv` for the
+    output gradient ``gy``, accumulated in float64."""
+    b, ci, h, w = x.shape
+    co, _, kh, kw = kernel.shape
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    k64 = kernel.astype(np.float64)
+    dxp = np.zeros_like(xp)
+    dkernel = np.zeros(kernel.shape, dtype=np.float64)
+    for bi in range(b):
+        for oc in range(co):
+            for i in range(gy.shape[2]):
+                for j in range(gy.shape[3]):
+                    g = float(gy[bi, oc, i, j])
+                    rows = slice(i * sh, i * sh + kh)
+                    cols = slice(j * sw, j * sw + kw)
+                    dkernel[oc] += g * xp[bi, :, rows, cols]
+                    dxp[bi, :, rows, cols] += g * k64[oc]
+    return dxp[:, :, ph : ph + h, pw : pw + w], dkernel
+
+
 def naive_maxpool(x: np.ndarray, factor: int) -> np.ndarray:
     """Non-overlapping max pooling; trailing remainder rows/cols dropped."""
     b, c, h, w = x.shape

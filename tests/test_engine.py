@@ -28,13 +28,25 @@ from prunekit.relax import GateSet
 from prunekit.subgraph import identify_subgraphs
 
 from gen import gated_setups, grouped_setup, random_gates
-from oracles import naive_batchnorm, naive_conv, naive_maxpool, relative_error
+from oracles import (
+    naive_batchnorm,
+    naive_conv,
+    naive_conv_backward,
+    naive_maxpool,
+    relative_error,
+)
 
 
 def chain_graph(*mid_nodes):
     nodes = [simple_node("in", OpKind.INPUT), *mid_nodes, simple_node("out", OpKind.OUTPUT)]
     edges = [(nodes[i].id, nodes[i + 1].id, 0) for i in range(len(nodes) - 1)]
     return Graph(nodes={n.id: n for n in nodes}, edges=tuple(edges), entry="in", exit="out")
+
+
+def conv_record(run):
+    """Backward function of the run's convolution ``c``: maps an output
+    gradient to ``([dx], {param key: gradient})``."""
+    return next(fn for out_key, _, fn in run._tape if out_key == "c")
 
 
 def run_setup(seed, training=False, **kwargs):
@@ -155,6 +167,59 @@ class TestForwardOracles:
         out1 = forward(graph, weights, x).output
         out2 = forward(graph, weights, x).output
         np.testing.assert_array_equal(out1, out2)
+
+
+class TestConvBackwardOracles:
+    @pytest.mark.parametrize(
+        "kernel,stride,padding,ci,co,size",
+        [
+            ((k, k), (s, s), (p, p), 3, 4, (9, 7))
+            for k in (1, 2, 3, 5)
+            for s in (1, 2, 3)
+            for p in (0, 1, 2)
+        ]
+        + [
+            ((3, 3), (2, 1), (1, 0), 3, 4, (9, 7)),
+            ((3, 1), (1, 2), (0, 1), 3, 4, (9, 7)),
+            ((2, 3), (3, 2), (2, 1), 3, 4, (9, 7)),
+            ((3, 3), (1, 1), (1, 1), 3, 4, (1, 1)),
+            ((3, 3), (1, 1), (1, 1), 3, 4, (2, 3)),
+            ((3, 3), (2, 2), (1, 1), 3, 4, (3, 2)),
+            ((5, 5), (1, 1), (2, 2), 3, 4, (1, 2)),
+            ((1, 1), (2, 2), (0, 0), 3, 4, (3, 3)),
+            ((3, 3), (1, 1), (1, 1), 0, 4, (9, 7)),
+            ((3, 3), (2, 2), (1, 1), 3, 0, (9, 7)),
+        ],
+    )
+    def test_conv_backward_matches_direct_loops(self, kernel, stride, padding, ci, co, size):
+        rng = np.random.default_rng(4)
+        g = chain_graph(conv_node("c", ci, co, kernel=kernel, stride=stride, padding=padding))
+        x = rng.normal(0, 1, (2, ci, *size))
+        k = rng.normal(0, 1, (co, ci, *kernel))
+        run = forward(g, {"c": {"kernel": k}}, x)
+        np.testing.assert_allclose(run.output, naive_conv(x, k, stride, padding), rtol=1e-12, atol=1e-12)
+        gy = rng.normal(0, 1, run.output.shape)
+        (dx,), grads = conv_record(run)(gy)
+        want_dx, want_dkernel = naive_conv_backward(x, k, gy, stride, padding)
+        assert dx.shape == x.shape and dx.dtype == x.dtype
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads[("w", "c", "kernel")], want_dkernel, rtol=1e-12, atol=1e-12)
+
+    def test_conv_float32_matches_float64(self):
+        rng = np.random.default_rng(5)
+        g = chain_graph(conv_node("c", 6, 5, kernel=(3, 2), stride=(2, 1), padding=(1, 0)))
+        x = rng.normal(0, 1, (3, 6, 11, 8))
+        k = rng.normal(0, 0.3, (5, 6, 3, 2))
+        gy = rng.normal(0, 1, (3, 5, 6, 7))
+        results = {}
+        for dtype in (np.float32, np.float64):
+            run = forward(g, {"c": {"kernel": k.astype(dtype)}}, x.astype(dtype))
+            (dx,), grads = conv_record(run)(gy.astype(dtype))
+            results[dtype] = (run.output, dx, grads[("w", "c", "kernel")])
+            assert all(a.dtype == dtype for a in results[dtype])
+        # float32 rounding over sums of at most a few hundred O(1) terms
+        for lo, hi in zip(results[np.float32], results[np.float64]):
+            np.testing.assert_allclose(lo, hi, rtol=1e-5, atol=1e-5 * np.max(np.abs(hi)))
 
 
 class TestGradients:

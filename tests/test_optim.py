@@ -97,6 +97,25 @@ class TestOptimizers:
         with pytest.raises(NonFiniteGradient):
             opt.step(p, {("s", 0): np.array([np.inf])})
 
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_rejected_step_changes_nothing(self, kind):
+        opt = Optimizer(OptimConfig(kind=kind, lr=0.1))
+        p = {("s", 0): np.array([1.0, 2.0]), ("s", 1): np.array([3.0])}
+        opt.step(p, {("s", 0): np.array([0.5, -0.5]), ("s", 1): np.array([1.0])})
+        before_p = {k: v.copy() for k, v in p.items()}
+        before_slots = {k: {n: a.copy() for n, a in slot.items()} for k, slot in opt.slots.items()}
+        # the NaN sits on the last key in sorted order, after a finite one
+        with pytest.raises(NonFiniteGradient):
+            opt.step(p, {("s", 0): np.array([0.1, 0.1]), ("s", 1): np.array([np.nan])})
+        assert opt.t == 1
+        for key, arr in before_p.items():
+            np.testing.assert_array_equal(p[key], arr)
+        assert opt.slots.keys() == before_slots.keys()
+        for key, slot in before_slots.items():
+            assert opt.slots[key].keys() == slot.keys()
+            for name, arr in slot.items():
+                np.testing.assert_array_equal(opt.slots[key][name], arr)
+
     def test_update_order_independent_of_dict_order(self):
         rng = np.random.default_rng(0)
         keys = [("w", "b", "kernel"), ("w", "a", "kernel"), ("s", 1), ("s", 0)]

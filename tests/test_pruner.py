@@ -6,7 +6,7 @@ import pytest
 
 from prunekit.accounting import structure_measures
 from prunekit.engine import forward, init_weights
-from prunekit.errors import EmptyNetwork, NoFoldTarget, ShapeDrift
+from prunekit.errors import EmptyNetwork, InvalidConfig, NoFoldTarget, ShapeDrift
 from prunekit.graph import OpKind, TensorShape, infer_shapes, validate
 from prunekit.models import build_reference_model
 from prunekit.pruner import (
@@ -51,6 +51,12 @@ class TestThresholdMasks:
         np.testing.assert_array_equal(empty.masks[0], [0, 0, 0])
         rescued = threshold_masks(gates, 0.5, min_keep=2)
         np.testing.assert_array_equal(rescued.masks[0], [0, 1, 1])
+
+    @pytest.mark.parametrize("tau", [-0.1, 1.0, 1.5, float("nan"), float("inf")])
+    def test_threshold_outside_unit_interval_rejected(self, tau):
+        gates = GateSet(values={0: np.array([0.0, 1.0])}, steepness=4.0)
+        with pytest.raises(InvalidConfig):
+            threshold_masks(gates, tau)
 
     def test_min_keep_only_fills_up(self):
         gates = GateSet(values={0: np.array([2.0, 2.0, -2.0])}, steepness=4.0)
