@@ -25,6 +25,21 @@ NCHW; ``dx`` is one GEMM against the stacked kernel followed by ``kh * kw``
 slice-adds and one copy out of the phases; ``dkernel`` is one GEMM against
 the same tap slices, rebuilt for that GEMM and released after it. A
 convolution's tape record keeps only the padded planes.
+
+Pooling layout: tap ``(i, j)`` of the non-overlapping ``f x f`` windows is
+the strided view ``x[:, :, i:oh*f:f, j:ow*f:f]``. MaxPool's forward is a copy
+of the first tap's view and an in-place ``np.maximum`` with each other tap;
+its backward sends each window's gradient to the first tap (row-major) equal
+to the max, the tap ``np.argmax`` would pick, so ties after a ReLU resolve
+the same way; its tape keeps only ``x`` and ``y``. Upsample's forward is
+``f * f`` strided writes into the output, its backward the sum of ``f * f``
+strided views of the gradient; its tape keeps nothing.
+
+BatchNorm works on a ``(b, c, spatial)`` view: the mean is a float64 channel
+sum and the variance a float64 reduction of the centred values, so no
+full-size float64 array is built. Its tape keeps the centred input, and
+backward takes the two channel sums ``dgamma`` and ``dbeta`` and forms
+``dx`` in the centred input's buffer with four in-place passes.
 """
 from __future__ import annotations
 
@@ -471,56 +486,86 @@ def _op_batchnorm(node, xs, w, x0, training, mom):
         raise ShapeMismatch(
             f"batch-norm {node.id!r} expects {gamma.shape[0]} channels, got {x.shape[1]}"
         )
+    # (b, c, spatial) view; the spatial extent is explicit so that c == 0 works.
+    b, c = x.shape[:2]
+    x3 = x.reshape(b, c, int(np.prod(x.shape[2:])))
+    n = b * x3.shape[2]
     if training:
-        axes = (0,) + tuple(range(2, x.ndim))
-        mean64 = np.mean(x, axis=axes, dtype=np.float64)
-        var64 = np.var(x, axis=axes, dtype=np.float64)
-        mean = mean64.astype(x.dtype)
-        inv = (1.0 / np.sqrt(var64 + BN_EPS)).astype(x.dtype)
+        mean64 = _csum(x3, np.float64) / n
+        xc = x3 - mean64.astype(x.dtype)[:, None]
+        var64 = np.einsum("bcs,bcs->c", xc, xc, dtype=np.float64) / n
         w["running_mean"] += (mom * (mean64 - w["running_mean"])).astype(gamma.dtype)
         w["running_var"] += (mom * (var64 - w["running_var"])).astype(gamma.dtype)
     else:
-        mean = w["running_mean"].astype(x.dtype)
-        inv = (1.0 / np.sqrt(w["running_var"].astype(np.float64) + BN_EPS)).astype(x.dtype)
-    xhat = (x - _cshape(mean, x.ndim)) * _cshape(inv, x.ndim)
-    y = xhat * _cshape(gamma, x.ndim) + _cshape(beta, x.ndim)
-    n = (x.size // x.shape[1]) if x.shape[1] else 0
+        xc = x3 - w["running_mean"].astype(x.dtype)[:, None]
+        var64 = w["running_var"].astype(np.float64)
+    # xhat = xc * inv is never formed: its per-channel factor is folded into
+    # the output scale and into backward's channel sums.
+    inv = 1.0 / np.sqrt(var64 + BN_EPS)
+    scale = (gamma * inv).astype(x.dtype)[:, None]
+    y = xc * scale
+    y += beta[:, None]
 
     def fn(gy):
-        dgamma = _csum(gy * xhat, gamma.dtype)
-        dbeta = _csum(gy, beta.dtype)
-        dxhat = gy * _cshape(gamma, gy.ndim)
+        gy3 = gy.reshape(x3.shape)
+        dgamma = np.einsum("bcs,bcs->c", gy3, xc, dtype=np.float64) * inv
+        dbeta = _csum(gy3, np.float64)
         if training:
-            sum_dxhat = _cshape(_csum(dxhat, x.dtype), gy.ndim)
-            sum_dxhat_xhat = _cshape(_csum(dxhat * xhat, x.dtype), gy.ndim)
-            dx = (_cshape(inv, gy.ndim) / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+            # dx = gamma * inv * (gy - xhat * dgamma / n - dbeta / n), built in
+            # xc's buffer: the tape is single-use, so backward owns it.
+            dx = xc
+            dx *= (inv * dgamma / n).astype(gy.dtype)[:, None]
+            dx += (dbeta / n).astype(gy.dtype)[:, None]
+            np.subtract(gy3, dx, out=dx)
+            dx *= scale
         else:
-            dx = dxhat * _cshape(inv, gy.ndim)
-        return [dx], {("w", node.id, "gamma"): dgamma, ("w", node.id, "beta"): dbeta}
+            dx = gy3 * scale
+        return [dx.reshape(x.shape)], {
+            ("w", node.id, "gamma"): dgamma.astype(gamma.dtype),
+            ("w", node.id, "beta"): dbeta.astype(beta.dtype),
+        }
 
-    return y, fn
+    return y.reshape(x.shape), fn
+
+
+def _pool_taps(f, oh, ow):
+    """Strided index of each tap ``(i, j)`` of non-overlapping ``f x f``
+    windows over an ``oh x ow`` grid, in row-major window order."""
+    return [
+        (slice(i, oh * f, f), slice(j, ow * f, f)) for i in range(f) for j in range(f)
+    ]
 
 
 def _op_maxpool(node, xs, w, x0, training, mom):
     x = xs[0]
     f = int(node.attr("factor"))
-    b, c, h, wdt = x.shape
-    oh, ow = h // f, wdt // f
-    xc = x[:, :, :oh * f, :ow * f]
-    win = xc.reshape(b, c, oh, f, ow, f).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, f * f)
-    idx = np.argmax(win, axis=-1)
-    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    taps = _pool_taps(f, x.shape[2] // f, x.shape[3] // f)
+    rows, cols = taps[0]
+    y = x[:, :, rows, cols].copy()
+    for rows, cols in taps[1:]:
+        # np.maximum returns its second operand on ties, so y keeps the
+        # earliest of equal values, as the first-max rule of backward does.
+        np.maximum(x[:, :, rows, cols], y, out=y)
 
     def fn(gy):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], gy[..., None], axis=-1)
-        dxc = dwin.reshape(b, c, oh, ow, f, f).transpose(0, 1, 2, 4, 3, 5).reshape(
-            b, c, oh * f, ow * f
-        )
-        if oh * f == h and ow * f == wdt:
-            return [dxc], {}
-        dx = np.zeros_like(x)
-        dx[:, :, :oh * f, :ow * f] = dxc
+        # Each window's gradient goes to its first tap equal to the max, as
+        # np.argmax would pick it; remainder rows and columns get zero.
+        # `free` marks the windows whose max has not been met yet, so the
+        # last tap takes all of them without a comparison. The mask
+        # multiplies gy's bit patterns, so a tap that is not the max gets
+        # +0.0 (a float product would give -0.0 where gy < 0).
+        dx = np.zeros(x.shape, dtype=gy.dtype)
+        bits = np.dtype(f"u{gy.dtype.itemsize}")
+        gbits = gy.view(bits)
+        free = np.ones(y.shape, dtype=bool)
+        hit = np.empty(y.shape, dtype=bool)
+        for rows, cols in taps[:-1]:
+            np.equal(x[:, :, rows, cols], y, out=hit)
+            hit &= free
+            free ^= hit
+            np.multiply(gbits, hit, out=dx[:, :, rows, cols].view(bits))
+        rows, cols = taps[-1]
+        np.multiply(gbits, free, out=dx[:, :, rows, cols].view(bits))
         return [dx], {}
 
     return y, fn
@@ -530,10 +575,16 @@ def _op_upsample(node, xs, w, x0, training, mom):
     x = xs[0]
     f = int(node.attr("factor"))
     b, c, h, wdt = x.shape
-    y = x.repeat(f, axis=2).repeat(f, axis=3)
+    taps = _pool_taps(f, h, wdt)
+    y = np.empty((b, c, h * f, wdt * f), dtype=x.dtype)
+    for rows, cols in taps:
+        y[:, :, rows, cols] = x
 
     def fn(gy):
-        dx = gy.reshape(b, c, h, f, wdt, f).sum(axis=(3, 5))
+        rows, cols = taps[0]
+        dx = gy[:, :, rows, cols].copy()
+        for rows, cols in taps[1:]:
+            dx += gy[:, :, rows, cols]
         return [dx], {}
 
     return y, fn

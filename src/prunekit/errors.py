@@ -86,6 +86,10 @@ class ShapeDrift(PrunekitError):
     """Two models expected to agree produce differently shaped outputs."""
 
 
+class RewriteMismatch(PrunekitError):
+    """A rewritten model does not reproduce the masked model it replaces."""
+
+
 class EmptySchedule(PrunekitError):
     """A schedule list has no entries."""
 

@@ -165,6 +165,7 @@ class PruneReport:
     params_after: float
     flops_after: float
     residual: float | None = None
+    output_max: float | None = None
     notes: tuple[str, ...] = ()
 
     def to_text(self) -> str:
@@ -398,11 +399,14 @@ def verify_equivalence(
 
     The masked model runs the original graph with the mask/gain multipliers;
     the rewritten model runs the sliced graph with its carried-over gates.
-    Raises :class:`ShapeDrift` if the two disagree on the output shape.
+    The residual and the largest |masked output| are also recorded on
+    ``result.report``. Raises :class:`ShapeDrift` if the two disagree on the
+    output shape.
     """
     rng = np.random.default_rng(seed)
     scales = masked_scales(graph, coloring, gates, masks)
     worst = 0.0
+    ref_max = 0.0
     for _ in range(probes):
         x = rng.standard_normal((input_shape.batch, input_shape.channels, *input_shape.spatial))
         x = x.astype(np.float32)
@@ -417,8 +421,12 @@ def verify_equivalence(
         ).output
         if ref.shape != new.shape:
             raise ShapeDrift(f"outputs drifted from {ref.shape} to {new.shape}")
-        worst = max(worst, float(np.max(np.abs(ref - new))) if ref.size else 0.0)
+        if ref.size:
+            # np.maximum, unlike max(), keeps a NaN residual.
+            worst = float(np.maximum(worst, np.max(np.abs(ref - new))))
+            ref_max = max(ref_max, float(np.max(np.abs(ref))))
     result.report.residual = worst
+    result.report.output_max = ref_max
     return worst
 
 

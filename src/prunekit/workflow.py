@@ -35,7 +35,7 @@ from .data import (
     split,
 )
 from .engine import Weights, forward, init_weights, trainable_params
-from .errors import InvalidConfig
+from .errors import InvalidConfig, RewriteMismatch
 from .graph import Graph, TensorShape, infer_shapes
 from .models import build_reference_model
 from .objective import ObjectiveConfig, confusion_counts, mean_iou, total_loss
@@ -45,6 +45,11 @@ from .relax import GateSet, init_gates, snapshot, export_snapshot
 from .subgraph import Coloring, identify_subgraphs
 
 DEFAULT_THRESHOLD_RAMP = (0.01, 0.1, 0.25, 0.4, 0.5)
+
+# A rewrite must reproduce the masked model to within this fraction of the
+# largest masked output over the verification probes (of 1.0 when that output
+# is all zero), or the run stops.
+REWRITE_RTOL = 1e-4
 
 METRIC_COLUMNS = (
     "step",
@@ -211,26 +216,36 @@ def evaluate(
 
 
 class _MetricsWriter:
-    def __init__(self, path: Path | None, append: bool):
+    """Row writer for ``metrics.csv``; each row is appended and the file
+    closed again, so a run that stops with an error leaves every row it
+    wrote and no open handle.
+
+    A run that resumes at step ``resume_step`` keeps the rows that earlier
+    steps wrote and drops those of ``resume_step`` onwards, which the resumed
+    run writes again; any other run starts the file afresh.
+    """
+
+    def __init__(self, path: Path | None, resume_step: int | None):
         self.path = path
-        self._fh = None
-        if path is not None:
-            exists = path.exists()
-            self._fh = open(path, "a" if append else "w", newline="")
-            self._csv = csv.writer(self._fh)
-            if not (append and exists):
-                self._csv.writerow(METRIC_COLUMNS)
-        self.rows: list[dict] = []
+        if path is None:
+            return
+        kept: list[list[str]] = []
+        if resume_step is not None and path.exists():
+            with open(path, newline="") as fh:
+                kept = [
+                    [row.get(col, "") for col in METRIC_COLUMNS]
+                    for row in csv.DictReader(fh)
+                    if int(row["step"]) < resume_step
+                ]
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(METRIC_COLUMNS)
+            out.writerows(kept)
 
     def write(self, **row) -> None:
-        self.rows.append(row)
-        if self._fh is not None:
-            self._csv.writerow([row.get(col, "") for col in METRIC_COLUMNS])
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+        if self.path is not None:
+            with open(self.path, "a", newline="") as fh:
+                csv.writer(fh).writerow([row.get(col, "") for col in METRIC_COLUMNS])
 
 
 def _load_data(config: WorkflowConfig) -> tuple[LabeledDataset, LabeledDataset]:
@@ -256,10 +271,6 @@ def run(
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    metrics = _MetricsWriter(
-        out_dir / "metrics.csv" if out_dir else None, append=resume_from is not None
-    )
-
     in_channels = train_set.inputs.shape[1]
     spatial = train_set.inputs.shape[2:]
     entry_shape = TensorShape(1, in_channels, tuple(int(d) for d in spatial))
@@ -306,6 +317,11 @@ def run(
         resolved_lam = meta.get("resolved_lam")
         scores = [(int(s), float(v)) for s, v in meta.get("scores", [])]
 
+    metrics = _MetricsWriter(
+        out_dir / "metrics.csv" if out_dir else None,
+        resume_step=start_step if resume_from is not None else None,
+    )
+
     def current_objective() -> ObjectiveConfig:
         if isinstance(config.objective.mu, str) or isinstance(config.objective.lam, str):
             if resolved_mu is None:
@@ -330,6 +346,13 @@ def run(
                 graph, coloring, weights, gates, masks, result,
                 verify_shape, probes=4, seed=config.seed,
             )
+            bound = REWRITE_RTOL * (result.report.output_max or 1.0)
+            if not residual <= bound:  # a NaN residual fails too
+                raise RewriteMismatch(
+                    f"step {step_index}: rewritten model differs from the masked model by "
+                    f"{residual:.3e}, above {bound:.3e} ({REWRITE_RTOL:g} of the largest "
+                    f"masked output, {result.report.output_max:.3e})"
+                )
             graph, weights = result.graph, result.weights
             coloring, gates, shapes = result.coloring, result.gates, result.shapes
             # Moment estimates refer to parameter axes that may no longer
@@ -422,7 +445,6 @@ def run(
                 gid: {"width": int(arr.size)} for gid, arr in snapshot(gates).items()
             }
             (out_dir / "gates_snapshot.txt").write_text(export_snapshot(gates, extras))
-    metrics.close()
 
     return WorkflowResult(
         graph=graph,

@@ -120,17 +120,57 @@ def naive_conv_backward(x: np.ndarray, kernel: np.ndarray, gy: np.ndarray, strid
     return dxp[:, :, ph : ph + h, pw : pw + w], dkernel
 
 
+def _first_max(window: np.ndarray) -> tuple[int, int]:
+    """Row-major position of the first maximal element of a 2-D window
+    (of equal maxima, the earliest, as ``np.argmax`` picks)."""
+    best = (0, 0)
+    for u in range(window.shape[0]):
+        for v in range(window.shape[1]):
+            if window[u, v] > window[best]:
+                best = (u, v)
+    return best
+
+
 def naive_maxpool(x: np.ndarray, factor: int) -> np.ndarray:
-    """Non-overlapping max pooling; trailing remainder rows/cols dropped."""
+    """Non-overlapping max pooling; trailing remainder rows/cols dropped.
+    Each output is a copy of its window's first maximal element."""
     b, c, h, w = x.shape
     oh, ow = h // factor, w // factor
     y = np.empty((b, c, oh, ow), dtype=x.dtype)
-    for i in range(oh):
-        for j in range(ow):
-            y[:, :, i, j] = x[
-                :, :, i * factor : (i + 1) * factor, j * factor : (j + 1) * factor
-            ].max(axis=(2, 3))
+    for bi in range(b):
+        for ci in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    win = x[bi, ci, i * factor : (i + 1) * factor, j * factor : (j + 1) * factor]
+                    y[bi, ci, i, j] = win[_first_max(win)]
     return y
+
+
+def naive_maxpool_backward(x: np.ndarray, gy: np.ndarray, factor: int) -> np.ndarray:
+    """Gradient of :func:`naive_maxpool`: each window's output gradient is
+    copied to its first maximal element; every other input, remainder rows
+    and columns included, gets +0.0."""
+    b, c, h, w = x.shape
+    dx = np.zeros(x.shape, dtype=gy.dtype)
+    for bi in range(b):
+        for ci in range(c):
+            for i in range(h // factor):
+                for j in range(w // factor):
+                    win = x[bi, ci, i * factor : (i + 1) * factor, j * factor : (j + 1) * factor]
+                    u, v = _first_max(win)
+                    dx[bi, ci, i * factor + u, j * factor + v] = gy[bi, ci, i, j]
+    return dx
+
+
+def naive_upsample_backward(gy: np.ndarray, factor: int) -> np.ndarray:
+    """Gradient of nearest-neighbour upsampling: the float64 sum of each
+    ``factor x factor`` block of the output gradient."""
+    b, c, h, w = gy.shape
+    dx = np.zeros((b, c, h // factor, w // factor), dtype=np.float64)
+    for i in range(h):
+        for j in range(w):
+            dx[:, :, i // factor, j // factor] += gy[:, :, i, j]
+    return dx
 
 
 def naive_batchnorm(x: np.ndarray, gamma, beta, eps: float) -> np.ndarray:
@@ -141,6 +181,42 @@ def naive_batchnorm(x: np.ndarray, gamma, beta, eps: float) -> np.ndarray:
     shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     xhat = (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + eps)
     return xhat * np.reshape(gamma, shape) + np.reshape(beta, shape)
+
+
+def naive_batchnorm_backward(x: np.ndarray, gamma, gy: np.ndarray, eps: float, running=None):
+    """Gradients ``(dx, dgamma, dbeta)`` of batch normalisation for the output
+    gradient ``gy``, in float64, channel by channel.
+
+    With ``running=None`` the statistics are the biased batch moments and
+    ``dx`` contracts ``gy`` with the explicit Jacobian of each channel's
+    normalised values; with ``running=(mean, var)`` they are fixed and
+    ``dx`` is a plain per-channel scale.
+    """
+    c = x.shape[1]
+    dx = np.zeros(x.shape, dtype=np.float64)
+    dgamma = np.zeros(c, dtype=np.float64)
+    dbeta = np.zeros(c, dtype=np.float64)
+    for ch in range(c):
+        v = np.moveaxis(x, 1, 0)[ch].astype(np.float64).reshape(-1)
+        g = np.moveaxis(gy, 1, 0)[ch].astype(np.float64).reshape(-1)
+        n = v.size
+        if running is None:
+            mean = sum(v) / n
+            var = sum((v - mean) ** 2) / n
+        else:
+            mean, var = float(running[0][ch]), float(running[1][ch])
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = (v - mean) * inv
+        dgamma[ch] = sum(g * xhat)
+        dbeta[ch] = sum(g)
+        if running is None:
+            # d xhat_j / d v_i = inv * (delta_ij - 1/n - xhat_i * xhat_j / n)
+            jac = inv * (np.eye(n) - 1.0 / n - np.outer(xhat, xhat) / n)
+            dv = float(gamma[ch]) * (jac @ g)
+        else:
+            dv = float(gamma[ch]) * inv * g
+        np.moveaxis(dx, 1, 0)[ch] = dv.reshape(np.moveaxis(dx, 1, 0)[ch].shape)
+    return dx, dgamma, dbeta
 
 
 def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:

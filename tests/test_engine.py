@@ -30,9 +30,12 @@ from prunekit.subgraph import identify_subgraphs
 from gen import gated_setups, grouped_setup, random_gates
 from oracles import (
     naive_batchnorm,
+    naive_batchnorm_backward,
     naive_conv,
     naive_conv_backward,
     naive_maxpool,
+    naive_maxpool_backward,
+    naive_upsample_backward,
     relative_error,
 )
 
@@ -43,10 +46,29 @@ def chain_graph(*mid_nodes):
     return Graph(nodes={n.id: n for n in nodes}, edges=tuple(edges), entry="in", exit="out")
 
 
-def conv_record(run):
-    """Backward function of the run's convolution ``c``: maps an output
-    gradient to ``([dx], {param key: gradient})``."""
-    return next(fn for out_key, _, fn in run._tape if out_key == "c")
+def op_record(run, nid):
+    """Backward function of the run's node ``nid``: maps an output gradient
+    to ``([dx], {param key: gradient})``."""
+    return next(fn for out_key, _, fn in run._tape if out_key == nid)
+
+
+def assert_bitwise_equal(got, want):
+    """Equal dtype, shape and bit patterns (so +0.0 and -0.0 differ)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def bn_weights(gamma, beta, running_mean=None, running_var=None):
+    c = len(gamma)
+    return {
+        "bn": {
+            "gamma": np.array(gamma),
+            "beta": np.array(beta),
+            "running_mean": np.zeros(c, gamma.dtype) if running_mean is None else running_mean,
+            "running_var": np.ones(c, gamma.dtype) if running_var is None else running_var,
+        }
+    }
 
 
 def run_setup(seed, training=False, **kwargs):
@@ -199,7 +221,7 @@ class TestConvBackwardOracles:
         run = forward(g, {"c": {"kernel": k}}, x)
         np.testing.assert_allclose(run.output, naive_conv(x, k, stride, padding), rtol=1e-12, atol=1e-12)
         gy = rng.normal(0, 1, run.output.shape)
-        (dx,), grads = conv_record(run)(gy)
+        (dx,), grads = op_record(run, "c")(gy)
         want_dx, want_dkernel = naive_conv_backward(x, k, gy, stride, padding)
         assert dx.shape == x.shape and dx.dtype == x.dtype
         np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
@@ -214,12 +236,146 @@ class TestConvBackwardOracles:
         results = {}
         for dtype in (np.float32, np.float64):
             run = forward(g, {"c": {"kernel": k.astype(dtype)}}, x.astype(dtype))
-            (dx,), grads = conv_record(run)(gy.astype(dtype))
+            (dx,), grads = op_record(run, "c")(gy.astype(dtype))
             results[dtype] = (run.output, dx, grads[("w", "c", "kernel")])
             assert all(a.dtype == dtype for a in results[dtype])
         # float32 rounding over sums of at most a few hundred O(1) terms
         for lo, hi in zip(results[np.float32], results[np.float64]):
             np.testing.assert_allclose(lo, hi, rtol=1e-5, atol=1e-5 * np.max(np.abs(hi)))
+
+
+# Window contents for the max-pool cases: plain values, ReLU outputs (many
+# all-zero windows), all-equal windows, and ties between -0.0 and +0.0.
+POOL_INPUTS = {
+    "normal": lambda rng, shape: rng.normal(0, 1, shape),
+    "relu": lambda rng, shape: np.maximum(rng.normal(-1, 1, shape), 0),
+    "equal": lambda rng, shape: np.full(shape, 0.5),
+    "signed-zero": lambda rng, shape: rng.choice([-0.0, 0.0, -1.0], shape),
+}
+
+
+class TestPoolBackwardOracles:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("content", sorted(POOL_INPUTS))
+    @pytest.mark.parametrize(
+        "size,factor",
+        [
+            ((8, 8), 1), ((8, 8), 2), ((9, 9), 3), ((8, 8), 4),
+            ((9, 7), 2), ((7, 5), 3), ((11, 6), 4),
+            ((5, 5), 5), ((4, 4), 4), ((5, 7), 5),
+        ],
+    )
+    def test_maxpool_matches_first_max_loops(self, size, factor, content, dtype):
+        rng = np.random.default_rng(6)
+        g = chain_graph(simple_node("p", OpKind.MAX_POOL, factor=factor))
+        x = POOL_INPUTS[content](rng, (2, 3, *size)).astype(dtype)
+        run = forward(g, {}, x)
+        assert_bitwise_equal(run.output, naive_maxpool(x, factor))
+        gy = rng.normal(0, 1, run.output.shape).astype(dtype)
+        (dx,), grads = op_record(run, "p")(gy)
+        assert grads == {}
+        assert_bitwise_equal(dx, naive_maxpool_backward(x, gy, factor))
+        h, w = size
+        assert not dx[:, :, h - h % factor:].any() and not dx[:, :, :, w - w % factor:].any()
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_upsample_backward_sums_blocks(self, factor):
+        rng = np.random.default_rng(7)
+        g = chain_graph(simple_node("u", OpKind.UPSAMPLE, factor=factor))
+        x = rng.normal(0, 1, (2, 3, 4, 5))
+        run = forward(g, {}, x)
+        gy = rng.normal(0, 1, run.output.shape)
+        (dx,), _ = op_record(run, "u")(gy)
+        assert dx.shape == x.shape and dx.dtype == x.dtype
+        np.testing.assert_allclose(dx, naive_upsample_backward(gy, factor), rtol=1e-12, atol=1e-12)
+
+
+class TestBatchNormBackwardOracles:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 6), (3, 2, 1, 7), (6, 4)])
+    def test_batchnorm_backward_matches_jacobian(self, shape, training):
+        rng = np.random.default_rng(8)
+        c = shape[1]
+        g = chain_graph(simple_node("bn", OpKind.BATCH_NORM))
+        x = rng.normal(3, 2, shape)
+        gamma, beta = rng.normal(1, 0.2, c), rng.normal(0, 0.2, c)
+        rmean, rvar = rng.normal(3, 1, c), rng.uniform(1, 5, c)
+        run = forward(g, bn_weights(gamma, beta, rmean.copy(), rvar.copy()), x, training=training)
+        gy = rng.normal(0, 1, shape)
+        (dx,), grads = op_record(run, "bn")(gy)
+        want_dx, want_dgamma, want_dbeta = naive_batchnorm_backward(
+            x, gamma, gy, BN_EPS, running=None if training else (rmean, rvar)
+        )
+        assert dx.shape == x.shape and dx.dtype == x.dtype
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(grads[("w", "bn", "gamma")], want_dgamma, rtol=1e-10)
+        np.testing.assert_allclose(grads[("w", "bn", "beta")], want_dbeta, rtol=1e-10)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_float32_matches_float64(self, training):
+        rng = np.random.default_rng(9)
+        g = chain_graph(simple_node("bn", OpKind.BATCH_NORM))
+        x = rng.normal(3, 2, (8, 5, 6, 6))
+        gamma, beta = rng.normal(1, 0.2, 5), rng.normal(0, 0.2, 5)
+        rmean, rvar = rng.normal(3, 1, 5), rng.uniform(1, 5, 5)
+        gy = rng.normal(0, 1, x.shape)
+        results = {}
+        for dtype in (np.float32, np.float64):
+            w = bn_weights(gamma.astype(dtype), beta.astype(dtype), rmean.astype(dtype), rvar.astype(dtype))
+            run = forward(g, w, x.astype(dtype), training=training)
+            (dx,), grads = op_record(run, "bn")(gy.astype(dtype))
+            results[dtype] = (
+                run.output, dx, grads[("w", "bn", "gamma")], grads[("w", "bn", "beta")],
+                w["bn"]["running_mean"], w["bn"]["running_var"],
+            )
+            assert all(a.dtype == dtype for a in results[dtype])
+        for lo, hi in zip(results[np.float32], results[np.float64]):
+            np.testing.assert_allclose(lo, hi, rtol=1e-5, atol=1e-5 * np.max(np.abs(hi)))
+
+
+class TestEdgeShapes:
+    """Zero-width channels (left by cuts) and 1x1 images, forward and backward."""
+
+    def run_op(self, node, x, weights=None, training=True):
+        run = forward(chain_graph(node), weights or {}, x, training=training)
+        gy = np.random.default_rng(10).normal(0, 1, run.output.shape)
+        (dx,), grads = op_record(run, node.id)(gy)
+        assert dx.shape == x.shape and dx.dtype == x.dtype
+        return run.output, gy, dx, grads
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(2, 0, 4, 4), (2, 0), (3, 4, 1, 1), (1, 4, 1, 1)])
+    def test_batchnorm(self, shape, training):
+        rng = np.random.default_rng(11)
+        c = shape[1]
+        x = rng.normal(0, 1, shape)
+        gamma, beta = rng.normal(1, 0.2, c), rng.normal(0, 0.2, c)
+        y, gy, dx, grads = self.run_op(
+            simple_node("bn", OpKind.BATCH_NORM), x, bn_weights(gamma, beta), training
+        )
+        assert y.shape == x.shape
+        want_dx, want_dgamma, want_dbeta = naive_batchnorm_backward(
+            x, gamma, gy, BN_EPS, running=None if training else (np.zeros(c), np.ones(c))
+        )
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-10, atol=1e-10)
+        assert grads[("w", "bn", "gamma")].shape == grads[("w", "bn", "beta")].shape == (c,)
+        np.testing.assert_allclose(grads[("w", "bn", "gamma")], want_dgamma, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(grads[("w", "bn", "beta")], want_dbeta, rtol=1e-10)
+
+    @pytest.mark.parametrize("shape,factor", [((2, 0, 4, 4), 2), ((2, 3, 1, 1), 1), ((2, 0, 1, 1), 1)])
+    def test_maxpool(self, shape, factor):
+        x = np.random.default_rng(12).normal(0, 1, shape)
+        y, gy, dx, _ = self.run_op(simple_node("p", OpKind.MAX_POOL, factor=factor), x)
+        assert_bitwise_equal(y, naive_maxpool(x, factor))
+        assert_bitwise_equal(dx, naive_maxpool_backward(x, gy, factor))
+
+    @pytest.mark.parametrize("shape,factor", [((2, 0, 4, 4), 2), ((2, 3, 1, 1), 2), ((2, 3, 1, 1), 1)])
+    def test_upsample(self, shape, factor):
+        x = np.random.default_rng(13).normal(0, 1, shape)
+        y, gy, dx, _ = self.run_op(simple_node("u", OpKind.UPSAMPLE, factor=factor), x)
+        assert y.shape == (*shape[:2], shape[2] * factor, shape[3] * factor)
+        np.testing.assert_array_equal(y[:, :, ::factor, ::factor], x)
+        np.testing.assert_allclose(dx, naive_upsample_backward(gy, factor), rtol=1e-12)
 
 
 class TestGradients:

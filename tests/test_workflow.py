@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 import yaml
 
-from prunekit import graphio
+from prunekit import graphio, pruner, workflow
 from prunekit.accounting import structure_measures
 from prunekit.cli import main as cli_main
 from prunekit.data import BLOBS, SHAPES, generate_synthetic, split
 from prunekit.engine import forward
-from prunekit.errors import InvalidConfig
+from prunekit.errors import InvalidConfig, RewriteMismatch
 from prunekit.graph import TensorShape, infer_shapes, validate
 from prunekit.objective import ObjectiveConfig, confusion_counts, mean_iou
 from prunekit.optim import OptimConfig, load_checkpoint
@@ -391,6 +391,40 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     ck_resumed = load_checkpoint(dir_part / "step_02.npz")
     assert ck_full.rng_state == ck_resumed.rng_state
     assert set(ck_full.opt_state["slots"]) == set(ck_resumed.opt_state["slots"])
+
+
+def test_resume_from_earlier_checkpoint_does_not_duplicate_metrics(tmp_path):
+    steps = [
+        StepSpec(prune=False, epochs=1),
+        StepSpec(prune=True, threshold=0.5, epochs=1),
+        StepSpec(prune=True, threshold=0.73, epochs=1),
+    ]
+    config = mini_config(tmp_path, steps=steps)
+    train_set, test_set = mini_data(config)
+    run(config, train_set, test_set)
+    uninterrupted = read_rows_without_timing(tmp_path / "metrics.csv")
+    assert {row["step"] for row in uninterrupted} == {"0", "1", "2"}
+
+    # Resuming the finished run from its first checkpoint repeats steps 1
+    # and 2; their rows replace the ones written before, not follow them.
+    run(config, train_set, test_set, resume_from=tmp_path / "step_00.npz")
+    assert read_rows_without_timing(tmp_path / "metrics.csv") == uninterrupted
+
+
+@pytest.mark.parametrize("shift", [1.0, np.nan])
+def test_corrupted_rewrite_stops_the_run(tmp_path, monkeypatch, shift):
+    def corrupted_rewrite(*args, **kwargs):
+        result = pruner.rewrite(*args, **kwargs)
+        head = result.weights["head"]
+        result.weights["head"] = {**head, "bias": head["bias"] + shift}
+        return result
+
+    monkeypatch.setattr(workflow, "rewrite", corrupted_rewrite)
+    config = mini_config(tmp_path)
+    with pytest.raises(RewriteMismatch, match="step 1"):
+        run(config, *mini_data(config))
+    # Rows written before the failed check stay in the file.
+    assert {row["step"] for row in read_rows_without_timing(tmp_path / "metrics.csv")} == {"0"}
 
 
 # -- command line ---------------------------------------------------------------------
