@@ -12,7 +12,7 @@ import numpy as np
 
 from .accounting import structure_measures
 from .data import generate_synthetic, split
-from .errors import PrunekitError
+from .errors import CheckpointError, PrunekitError
 from .graph import TensorShape, infer_shapes, validate
 from .graphio import serialize
 from .models import build_reference_model
@@ -48,7 +48,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     full = generate_synthetic(args.dataset, args.size, seed=args.seed)
     _, test_set = split(full, args.train_fraction, seed=args.seed)
     coloring = None
-    if ckpt.gates is not None and ckpt.gates.values:
+    if ckpt.gates is not None:
         shape = TensorShape(1, test_set.inputs.shape[1], tuple(test_set.inputs.shape[2:]))
         coloring = identify_subgraphs(ckpt.graph, infer_shapes(ckpt.graph, shape))
     score = evaluate(ckpt.graph, ckpt.weights, test_set, coloring=coloring, gates=ckpt.gates)
@@ -58,7 +58,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    shapes = infer_shapes(ckpt.graph, args.input_shape)
+    entry = args.input_shape
+    if entry is None:
+        dims = ckpt.meta.get("entry_shape")
+        if dims is None:
+            raise CheckpointError(f"{args.checkpoint} records no entry shape; pass --input-shape")
+        entry = TensorShape(1, dims[0], tuple(dims[1:]))
+    shapes = infer_shapes(ckpt.graph, entry)
     coloring = identify_subgraphs(ckpt.graph, shapes)
     report = structure_measures(ckpt.graph, coloring, ckpt.gates, shapes)
     print(report.to_text(), end="")
@@ -112,8 +118,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("report", help="print the cost breakdown of a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input-shape", type=_parse_shape, default="3x32x32",
-                   help="channels x spatial extents, e.g. 3x32x32")
+    p.add_argument("--input-shape", type=_parse_shape, default=None,
+                   help="channels x spatial extents, e.g. 3x32x32 "
+                        "(default: the entry shape the checkpoint was trained at)")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("export-gates", help="dump the gate snapshot of a checkpoint")
@@ -128,8 +135,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_show)
 
     args = parser.parse_args(argv)
-    if isinstance(getattr(args, "input_shape", None), str):
-        args.input_shape = _parse_shape(args.input_shape)
     try:
         return args.func(args)
     except PrunekitError as exc:

@@ -227,32 +227,3 @@ def _read_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
     pixels = (pixels - _CIFAR_MEAN[:, None, None]) / _CIFAR_STD[:, None, None]
     return pixels, labels
-
-
-# -- containers ----------------------------------------------------------------------
-
-
-def save_dataset(dataset: LabeledDataset, path: str | Path) -> None:
-    np.savez_compressed(
-        path,
-        inputs=dataset.inputs,
-        labels=dataset.labels,
-        classes=np.int64(dataset.classes),
-        name=np.frombuffer(dataset.name.encode("utf-8"), dtype=np.uint8),
-    )
-
-
-def load_dataset(path: str | Path) -> LabeledDataset:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"no dataset at {path}")
-    try:
-        with np.load(path) as archive:
-            return LabeledDataset(
-                inputs=archive["inputs"],
-                labels=archive["labels"],
-                classes=int(archive["classes"]),
-                name=bytes(archive["name"].tobytes()).decode("utf-8"),
-            )
-    except KeyError as exc:
-        raise CorruptFile(f"{path} is not a dataset container: missing {exc}") from exc

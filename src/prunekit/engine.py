@@ -2,8 +2,17 @@
 
 The engine walks a graph in topological order computing numpy activations
 (channels-first) and recording one tape entry per operator; ``Run.backward``
-replays the tape in reverse, accumulating gradients for weights, gate scores
+replays the tape in reverse, accumulating gradients for weights, node scales
 and (additively, for fan-out) intermediate activations.
+
+Channel scaling has one input, ``forward(node_scales={node_id: vector})``:
+each named node's output is multiplied by its per-channel vector inside the
+node's own tape record, whose backward hands ``gy * vector`` to the op and
+returns the float64 channel sum of ``gy * unscaled output`` under the key
+``("n", node_id)``. Gates use it with their gains at the sites
+``relax.gate_sites`` picks and turn those gradients into score gradients with
+``relax.score_grads``; a masked model uses it with fixed keep-times-gain
+vectors.
 
 Numerics: activations and parameters share the caller's dtype (training uses
 float32); statistics and gradient *reductions* (BatchNorm moments, per-channel
@@ -56,19 +65,13 @@ from .errors import (
     StaleTape,
 )
 from .graph import Graph, OpKind, TensorShape
-from .relax import GateSet, sigma, sigma_grad
-from .subgraph import ROLE_CONV_OUT, ROLE_FC_OUT, Coloring
+from .relax import GateSet
 
-ParamKey = tuple  # ("w", node_id, param_name) or ("s", group_id)
+ParamKey = tuple  # ("w", node_id, param_name), ("s", group_id) or ("n", node_id)
 Weights = dict[str, dict[str, np.ndarray]]
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-
-# Activations are keyed by node id; when a gate or fixed scale is applied to a
-# node's output, the unscaled value is stored under <id> + _RAW and the scale
-# becomes its own tape record between the two keys.
-_RAW = "\x00raw"
 
 
 # -- weight initialisation -----------------------------------------------------
@@ -183,58 +186,27 @@ def _csum(x: np.ndarray, dtype) -> np.ndarray:
     return np.sum(x, axis=axes, dtype=np.float64).astype(dtype)
 
 
-def gate_vectors(
-    coloring: Coloring, gates: GateSet, dtype=None
-) -> dict[str, tuple[int, np.ndarray]]:
-    """Map each producing node of a gated group to ``(group id, gains)``.
-
-    Gains are applied once, at the channel-producing operators (convolution
-    and fully-connected outputs); member operators that merely preserve those
-    channels see the scaled values through normal data flow.
-    """
-    plan: dict[str, tuple[int, np.ndarray]] = {}
-    for group in coloring.groups:
-        if not group.prunable or group.id not in gates.values:
-            continue
-        gains = sigma(gates.values[group.id], gates.steepness)
-        if dtype is not None:
-            gains = gains.astype(dtype)
-        for member in group.members:
-            if member.role in (ROLE_CONV_OUT, ROLE_FC_OUT):
-                plan[member.node] = (group.id, gains)
-    return plan
-
-
 def forward(
     graph: Graph,
     weights: Weights,
     x: np.ndarray,
     *,
-    coloring: Coloring | None = None,
-    gates: GateSet | None = None,
     node_scales: dict[str, np.ndarray] | None = None,
     training: bool = False,
     bn_momentum: float = BN_MOMENTUM,
 ) -> Run:
     """Execute the graph on a batch.
 
-    With ``gates`` (and the matching ``coloring``), every gated group's
-    producing activation is multiplied by its current gains exactly once and
-    the tape carries gradients back to the gate scores. ``node_scales``
-    instead applies fixed per-channel multipliers after the named nodes (used
-    for masked-model evaluation); the two modes are mutually exclusive.
-    In training mode BatchNorm uses batch statistics and updates its running
-    estimates in place.
+    ``node_scales`` multiplies the named nodes' outputs by per-channel
+    vectors (cast to the activation dtype); backward returns each vector's
+    gradient under ``("n", node_id)``. In training mode BatchNorm uses batch
+    statistics and updates its running estimates in place.
     """
-    if gates is not None and node_scales is not None:
-        raise ShapeMismatch("pass either gates or node_scales, not both")
-    if gates is not None and coloring is None:
-        raise ShapeMismatch("gates require the matching coloring")
     x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise NonFiniteTensor("input tensor contains NaN or Inf")
 
-    gate_plan = gate_vectors(coloring, gates, dtype=x.dtype) if gates is not None else {}
+    scales = node_scales or {}
     acts: dict[str, np.ndarray] = {}
     tape: list[tuple[str, tuple[str, ...], Callable]] = []
 
@@ -245,45 +217,32 @@ def forward(
             if nid not in weights:
                 raise MissingWeights(f"no weights for node {nid!r}")
 
-        scaling = nid in gate_plan or (node_scales is not None and nid in node_scales)
-        raw_key = nid + _RAW if scaling else nid
-
         xs = [acts[p] for p in producers]
         y, fn = _OP_TABLE[node.kind](node, xs, weights.get(nid), x, training, bn_momentum)
-        if fn is not None:
-            tape.append((raw_key, producers, fn))
-
-        if nid in gate_plan:
-            gid, gains = gate_plan[nid]
-            if gains.shape[0] != y.shape[1]:
-                raise LengthMismatch(
-                    f"gate width {gains.shape[0]} does not match {nid!r} output {y.shape}"
-                )
-            scores = gates.values[gid]
-            steep = gates.steepness
-            pre = y
-            y = y * _cshape(gains, y.ndim)
-
-            def gate_fn(gy, *, pre=pre, gains=gains, scores=scores, steep=steep, gid=gid):
-                ds = sigma_grad(scores, steep) * _csum(gy * pre, np.float64)
-                return [gy * _cshape(gains, gy.ndim)], {("s", gid): ds.astype(scores.dtype)}
-
-            tape.append((nid, (raw_key,), gate_fn))
-        elif node_scales is not None and nid in node_scales:
-            vec = node_scales[nid].astype(y.dtype, copy=False)
+        if nid in scales:
+            vec = scales[nid].astype(y.dtype, copy=False)
             if vec.shape[0] != y.shape[1]:
                 raise LengthMismatch(
                     f"scale width {vec.shape[0]} does not match {nid!r} output {y.shape}"
                 )
+            fn = _scaled(nid, fn, vec, y)
             y = y * _cshape(vec, y.ndim)
-
-            def scale_fn(gy, *, vec=vec):
-                return [gy * _cshape(vec, gy.ndim)], {}
-
-            tape.append((nid, (raw_key,), scale_fn))
+        if fn is not None:
+            tape.append((nid, producers, fn))
         acts[nid] = y
 
     return Run(graph=graph, acts=acts, output=acts[graph.exit], _tape=tape)
+
+
+def _scaled(nid: str, fn: Callable | None, vec: np.ndarray, pre: np.ndarray) -> Callable:
+    """Backward of ``pre * vec`` followed by the op's own backward ``fn``."""
+
+    def scaled_fn(gy):
+        in_grads, p_grads = fn(gy * _cshape(vec, gy.ndim)) if fn is not None else ([], {})
+        p_grads[("n", nid)] = _csum(gy * pre, np.float64)
+        return in_grads, p_grads
+
+    return scaled_fn
 
 
 # -- per-kind forward implementations -------------------------------------------

@@ -197,9 +197,6 @@ class Graph:
         """Producer ids feeding ``node_id``, ordered by slot."""
         return self._inputs[node_id]  # type: ignore[attr-defined]
 
-    def in_edges(self, node_id: str) -> tuple[Edge, ...]:
-        return tuple((src, node_id, slot) for slot, src in enumerate(self.inputs(node_id)))
-
     def out_edges(self, node_id: str) -> tuple[Edge, ...]:
         return self._outputs[node_id]  # type: ignore[attr-defined]
 

@@ -27,7 +27,7 @@ from .errors import (
     ScheduleUnresolved,
 )
 from .graph import Graph, TensorShape
-from .relax import GateSet, stiffening, stiffening_grad
+from .relax import GateSet, gate_scales, score_grads, stiffening, stiffening_grad
 from .subgraph import Coloring
 
 MODE_SPARSITY = "sparsity"  # drive the parameter fraction toward the target
@@ -198,9 +198,10 @@ def total_loss(
     tape plus the analytic architecture gradients on the gate scores), and
     the underlying run.
     """
-    run = forward(graph, weights, x, coloring=coloring, gates=gates, training=training)
+    scales = gate_scales(coloring, gates, np.asarray(x).dtype)
+    run = forward(graph, weights, x, node_scales=scales, training=training)
     task, dlogits = cross_entropy(run.output, labels)
-    grads = run.backward(dlogits)
+    grads = score_grads(coloring, gates, run.backward(dlogits))
 
     pressure, stiff, ratio, sigma_p, sigma_q, arch_grads = architecture_terms(
         graph, coloring, gates, shapes, objective, step, baseline=baseline
@@ -221,12 +222,6 @@ def total_loss(
 
 
 # -- evaluation metrics ----------------------------------------------------------
-
-
-def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of samples whose arg-max class matches the label."""
-    pred = np.argmax(logits, axis=1)
-    return float(np.mean(pred == labels))
 
 
 def confusion_counts(

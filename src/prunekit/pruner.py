@@ -1,7 +1,7 @@
 """Binary masking and structural rewriting of gated graphs.
 
 Masking snaps each gate to 0/1 by thresholding its gain. The masked model is
-the original graph with fixed per-channel multipliers: surviving producer
+the original graph with fixed per-channel multipliers: surviving gate-site
 channels keep their soft gains, masked-off channels and everything that is
 structurally zero downstream of them are clamped to exactly zero. The
 rewriter then produces a physically smaller graph — channels sliced out of
@@ -15,12 +15,12 @@ removal also removes the shift it would otherwise reintroduce.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .accounting import structure_measures
-from .engine import BN_EPS, Weights, forward
+from .engine import Weights, forward
 from .errors import (
     EmptyNetwork,
     GraphStructureError,
@@ -30,7 +30,7 @@ from .errors import (
     ShapeDrift,
 )
 from .graph import Graph, OpKind, OperatorNode, TensorShape, infer_shapes
-from .relax import GateSet, MaskSet, sigma
+from .relax import GateSet, MaskSet, gate_scales, gate_sites, sigma
 from .subgraph import (
     ROLE_BN,
     ROLE_CONV_OUT,
@@ -39,7 +39,7 @@ from .subgraph import (
     identify_subgraphs,
 )
 
-_PRODUCER_ROLES = (ROLE_CONV_OUT, ROLE_FC_OUT)
+_CLAMPED = (OpKind.CONV, OpKind.FULLY_CONNECTED, OpKind.BATCH_NORM)
 
 
 # -- masking ---------------------------------------------------------------------
@@ -120,28 +120,19 @@ def masked_scales(
 ) -> dict[str, np.ndarray]:
     """Per-node multipliers realising the masked model via ``node_scales``.
 
-    Producer outputs are scaled by gain-times-alive (zero on dead channels,
-    the soft gain on survivors); normalisation outputs are clamped by their
-    alive pattern so no shift term survives on a structurally dead channel.
+    Gate sites are scaled by gain-times-alive (zero on dead channels, the
+    soft gain on survivors). Any other convolution, fully-connected or
+    normalisation output with a dead channel is clamped by its alive pattern,
+    so no shift term survives on a structurally dead channel.
     """
     alive = alive_channels(graph, coloring, masks)
+    gains = gate_scales(coloring, gates, np.float64) if gates is not None else {}
     scales: dict[str, np.ndarray] = {}
-    for group in coloring.groups:
-        gains = None
-        if gates is not None and group.id in gates.values:
-            gains = sigma(gates.values[group.id], gates.steepness)
-        for member in group.members:
-            seg_alive = alive[member.node]
-            if member.role in _PRODUCER_ROLES:
-                vec = seg_alive.astype(np.float64)
-                if gains is not None:
-                    vec = vec * gains
-                scales[member.node] = vec
-            elif member.role == ROLE_BN:
-                # Only override when clamping actually does something, so the
-                # scale map stays minimal.
-                if not np.all(seg_alive):
-                    scales[member.node] = seg_alive.astype(np.float64)
+    for nid, flags in alive.items():
+        if nid in gains:
+            scales[nid] = flags * gains[nid]
+        elif graph.nodes[nid].kind in _CLAMPED and not np.all(flags):
+            scales[nid] = flags.astype(np.float64)
     return scales
 
 
@@ -193,7 +184,6 @@ class PruneResult:
     gates: GateSet | None
     shapes: dict[str, TensorShape]
     report: PruneReport
-    node_scales: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def rewrite(
@@ -223,7 +213,7 @@ def rewrite(
         flags = np.zeros(group.width, dtype=bool)
         seen_producer = False
         for member in group.members:
-            if member.role in _PRODUCER_ROLES or member.role == ROLE_BN:
+            if member.role in (ROLE_CONV_OUT, ROLE_FC_OUT, ROLE_BN):
                 seen_producer = True
                 flags |= alive[member.node][member.offset:member.offset + group.width]
         if not seen_producer:  # entry-fed group: always fully live
@@ -328,17 +318,17 @@ def rewrite(
     new_coloring = identify_subgraphs(new_graph, new_shapes)
 
     # Carry surviving gate scores over to the new grouping, located through
-    # each new group's first producing member.
+    # each new group's first gate site.
     new_gates: GateSet | None = None
     if gates is not None:
+        old_sites = gate_sites(coloring)
+        first_site: dict[int, str] = {}
+        for nid, gid in gate_sites(new_coloring).items():
+            first_site.setdefault(gid, nid)
         new_values: dict[int, np.ndarray] = {}
-        for group in new_coloring.prunable_groups():
-            producer = next(
-                (m.node for m in group.members if m.role in _PRODUCER_ROLES), None
-            )
-            if producer is None:
-                continue
-            old_gid = coloring.producer_group(producer)
+        for gid, site in first_site.items():
+            group = new_coloring.group(gid)
+            old_gid = old_sites.get(site)
             if old_gid in gates.values:
                 carried = gates.values[old_gid][keep[old_gid]]
             else:
@@ -372,7 +362,6 @@ def rewrite(
         flops_after=after.relaxed_flops,
         notes=after.notes,
     )
-    scales = masked_scales(graph, coloring, gates, masks)
     return PruneResult(
         graph=new_graph,
         weights=new_weights,
@@ -380,7 +369,6 @@ def rewrite(
         gates=new_gates,
         shapes=new_shapes,
         report=report,
-        node_scales=scales,
     )
 
 
@@ -405,6 +393,10 @@ def verify_equivalence(
     """
     rng = np.random.default_rng(seed)
     scales = masked_scales(graph, coloring, gates, masks)
+    new_scales = (
+        gate_scales(result.coloring, result.gates, np.float32)
+        if result.gates is not None else None
+    )
     worst = 0.0
     ref_max = 0.0
     for _ in range(probes):
@@ -412,12 +404,7 @@ def verify_equivalence(
         x = x.astype(np.float32)
         ref = forward(graph, weights, x, node_scales=scales, training=False).output
         new = forward(
-            result.graph,
-            result.weights,
-            x,
-            coloring=result.coloring if result.gates is not None else None,
-            gates=result.gates,
-            training=False,
+            result.graph, result.weights, x, node_scales=new_scales, training=False
         ).output
         if ref.shape != new.shape:
             raise ShapeDrift(f"outputs drifted from {ref.shape} to {new.shape}")
@@ -433,73 +420,35 @@ def verify_equivalence(
 # -- gain folding -------------------------------------------------------------------
 
 
-FOLD_PRODUCER = "producer"
-FOLD_NORM = "norm"
-
-
 def fold_gates(
     graph: Graph,
     coloring: Coloring,
     gates: GateSet,
     weights: Weights,
-    mode: str = FOLD_PRODUCER,
 ) -> Weights:
     """Bake the soft gains into the weights so the gates can be dropped.
 
-    ``producer`` scales each producing kernel's output channels (and a
-    fully-connected layer's bias); the result matches the gated network
-    exactly in both training and evaluation modes. ``norm`` instead rewrites
-    the following normalisation's scale-and-shift — equivalent in evaluation
-    mode only, since training-mode statistics absorb any pre-normalisation
-    scaling. Raises :class:`NoFoldTarget` when the requested site is missing.
+    Each gate site's kernel output channels (and a fully-connected layer's
+    bias) are scaled by its gains, so the result matches the gated network
+    exactly in both training and evaluation modes. Raises
+    :class:`NoFoldTarget` for a gated group with no producing operator.
     """
-    if mode not in (FOLD_PRODUCER, FOLD_NORM):
-        raise NoFoldTarget(f"unknown fold mode {mode!r}")
     new_weights: Weights = {
         nid: {name: arr.copy() for name, arr in per.items()} for nid, per in weights.items()
     }
+    sites = gate_sites(coloring)
     for group in coloring.prunable_groups():
-        if group.id not in gates.values:
-            continue
-        gains = sigma(gates.values[group.id], gates.steepness)
-        producers = [m.node for m in group.members if m.role in _PRODUCER_ROLES]
-        if not producers:
+        if group.id in gates.values and group.id not in sites.values():
             raise NoFoldTarget(f"group {group.id} has no producing operator to fold into")
-        for nid in producers:
-            node = graph.nodes[nid]
-            if mode == FOLD_PRODUCER:
-                if node.kind == OpKind.CONV:
-                    new_weights[nid]["kernel"] *= gains[:, None, None, None].astype(
-                        new_weights[nid]["kernel"].dtype
-                    )
-                else:
-                    g = gains.astype(new_weights[nid]["weight"].dtype)
-                    new_weights[nid]["weight"] *= g[:, None]
-                    new_weights[nid]["bias"] *= g
-            else:
-                bn = next(
-                    (
-                        c
-                        for c in graph.consumers(nid)
-                        if graph.nodes[c].kind == OpKind.BATCH_NORM
-                    ),
-                    None,
-                )
-                if bn is None:
-                    raise NoFoldTarget(
-                        f"group {group.id}: producer {nid!r} feeds no normalisation"
-                    )
-                arrs = new_weights[bn]
-                g = gains.astype(arrs["gamma"].dtype)
-                inv = 1.0 / np.sqrt(arrs["running_var"].astype(np.float64) + BN_EPS)
-                correction = (
-                    arrs["gamma"].astype(np.float64)
-                    * arrs["running_mean"].astype(np.float64)
-                    * (gains.astype(np.float64) - 1.0)
-                    * inv
-                )
-                arrs["beta"] = (arrs["beta"].astype(np.float64) + correction).astype(
-                    arrs["beta"].dtype
-                )
-                arrs["gamma"] = arrs["gamma"] * g
+    for nid, gid in sites.items():
+        if gid not in gates.values:
+            continue
+        gains = sigma(gates.values[gid], gates.steepness)
+        arrs = new_weights[nid]
+        if graph.nodes[nid].kind == OpKind.CONV:
+            arrs["kernel"] *= gains[:, None, None, None].astype(arrs["kernel"].dtype)
+        else:
+            g = gains.astype(arrs["weight"].dtype)
+            arrs["weight"] *= g[:, None]
+            arrs["bias"] *= g
     return new_weights

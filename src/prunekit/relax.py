@@ -2,19 +2,25 @@
 
 Every prunable channel group carries a trainable score vector ``s``; the
 effective per-channel gain is the logistic ``sigma(s) = 1 / (1 + exp(-a*s))``
-with a fixed steepness ``a``. Gates multiply the producing activation during
-training, are thresholded into binary keep/drop masks when pruning, and a
-Gaussian "stiffening" penalty pushes scores away from the undecided region
-around zero so that thresholding changes the network as little as possible.
+with a fixed steepness ``a``. Gains are thresholded into binary keep/drop
+masks when pruning, and a Gaussian "stiffening" penalty pushes scores away
+from the undecided region around zero so that thresholding changes the
+network as little as possible.
+
+Gate sites: a group's gains multiply the output of each of its producing
+operators (convolution and fully-connected outputs), applied through
+``engine.forward``'s ``node_scales``. :func:`gate_sites` is the one place
+that picks those nodes; training, evaluation, the masked model, folding and
+the score carry-over of a rewrite all go through it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, LengthMismatch
-from .subgraph import Coloring
+from .errors import InvalidConfig
+from .subgraph import ROLE_CONV_OUT, ROLE_FC_OUT, Coloring
 
 DEFAULT_STEEPNESS = 4.0
 DEFAULT_STIFFENING_SD = 1.0
@@ -71,9 +77,6 @@ class MaskSet:
     masks: dict[int, np.ndarray]
     threshold: float
 
-    def kept(self, group_id: int) -> np.ndarray:
-        return np.flatnonzero(self.masks[group_id])
-
 
 def init_gates(
     coloring: Coloring,
@@ -106,26 +109,45 @@ def init_gates(
     return GateSet(values=values, steepness=steepness, stiffening_sd=stiffening_sd)
 
 
-def gate_apply(activation: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """Multiply a channels-first activation by a per-channel gain vector."""
-    if activation.ndim < 2 or gate.ndim != 1 or activation.shape[1] != gate.shape[0]:
-        raise LengthMismatch(
-            f"gate of length {gate.shape} does not match activation {activation.shape}"
-        )
-    shape = (1, gate.shape[0]) + (1,) * (activation.ndim - 2)
-    return activation * gate.reshape(shape).astype(activation.dtype, copy=False)
+def gate_sites(coloring: Coloring) -> dict[str, int]:
+    """The node whose output carries each prunable group's gains.
 
-
-def extract_mask(gates: GateSet, threshold: float) -> MaskSet:
-    """Binarise gates: keep a channel iff ``sigma(s)`` strictly exceeds the
-    threshold, so a gate sitting exactly on the threshold is dropped."""
-    if not 0.0 <= threshold < 1.0:
-        raise InvalidConfig(f"threshold must lie in [0, 1), got {threshold}")
-    masks = {
-        gid: (sigma(s, gates.steepness) > threshold).astype(np.int8)
-        for gid, s in gates.values.items()
+    Every producing member of a prunable group (a convolution or
+    fully-connected output) is a site, so a group merged by a Sum is scaled
+    once per producer and members that merely preserve its channels see the
+    scaled values through normal data flow. Sites are listed group by group,
+    in member order.
+    """
+    return {
+        member.node: group.id
+        for group in coloring.prunable_groups()
+        for member in group.members
+        if member.role in (ROLE_CONV_OUT, ROLE_FC_OUT)
     }
-    return MaskSet(masks=masks, threshold=threshold)
+
+
+def gate_scales(coloring: Coloring, gates: GateSet, dtype) -> dict[str, np.ndarray]:
+    """Current gains as ``engine.forward``'s ``node_scales``, in ``dtype``."""
+    gains = {gid: sigma(s, gates.steepness).astype(dtype) for gid, s in gates.values.items()}
+    return {nid: gains[gid] for nid, gid in gate_sites(coloring).items() if gid in gains}
+
+
+def score_grads(coloring: Coloring, gates: GateSet, grads: dict) -> dict:
+    """``grads`` with each gate site's ``("n", node)`` gradient replaced by
+    its share of the ``("s", group)`` score gradient.
+
+    The shares are added in the order ``grads`` lists them, which for a
+    backward pass is the reverse order of the tape.
+    """
+    sites = gate_sites(coloring)
+    out: dict = {}
+    for key, g in grads.items():
+        if key[0] == "n" and key[1] in sites:
+            s = gates.values[sites[key[1]]]
+            g = (sigma_grad(s, gates.steepness) * g).astype(s.dtype)
+            key = ("s", sites[key[1]])
+        out[key] = out[key] + g if key in out else g
+    return out
 
 
 def stiffening(gates: GateSet) -> float:

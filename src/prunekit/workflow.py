@@ -40,8 +40,8 @@ from .graph import Graph, TensorShape, infer_shapes
 from .models import build_reference_model
 from .objective import ObjectiveConfig, confusion_counts, mean_iou, total_loss
 from .optim import OptimConfig, Optimizer, load_checkpoint, save_checkpoint
-from .pruner import FOLD_PRODUCER, fold_gates, rewrite, threshold_masks, verify_equivalence
-from .relax import GateSet, init_gates, snapshot, export_snapshot
+from .pruner import fold_gates, rewrite, threshold_masks, verify_equivalence
+from .relax import GateSet, export_snapshot, gate_scales, init_gates, snapshot
 from .subgraph import Coloring, identify_subgraphs
 
 DEFAULT_THRESHOLD_RAMP = (0.01, 0.1, 0.25, 0.4, 0.5)
@@ -123,7 +123,6 @@ class WorkflowConfig:
     stiffening_sd: float = 1.0
     gate_jitter: float = 0.02
     min_keep: int = 0
-    fold_mode: str = FOLD_PRODUCER
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -167,8 +166,7 @@ class WorkflowConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
+        return asdict(self)
 
 
 @dataclass
@@ -198,10 +196,11 @@ def evaluate(
     """Test score in evaluation mode: top-1 accuracy for classification,
     mean IoU (over classes that occur) for dense labels."""
     dense = dataset.dense
+    scales = gate_scales(coloring, gates, dataset.inputs.dtype) if gates is not None else None
     inter = p_count = t_count = None
     hits = 0
     for bx, by in batches(dataset, batch_size, shuffle=False):
-        out = forward(graph, weights, bx, coloring=coloring, gates=gates, training=False).output
+        out = forward(graph, weights, bx, node_scales=scales, training=False).output
         pred = np.argmax(out, axis=1)
         if dense:
             i, p, t = confusion_counts(pred, by, dataset.classes)
@@ -274,6 +273,7 @@ def run(
     in_channels = train_set.inputs.shape[1]
     spatial = train_set.inputs.shape[2:]
     entry_shape = TensorShape(1, in_channels, tuple(int(d) for d in spatial))
+    entry_dims = [entry_shape.channels, *entry_shape.spatial]
 
     rng = np.random.default_rng(config.seed)
     start_step = 0
@@ -424,6 +424,7 @@ def run(
                     "next_step": step_index + 1,
                     "global_epoch": global_epoch,
                     "baseline": list(baseline),
+                    "entry_shape": entry_dims,
                     "resolved_mu": resolved_mu,
                     "resolved_lam": resolved_lam,
                     "scores": [[s, v] for s, v in scores],
@@ -433,12 +434,12 @@ def run(
 
     final_weights = weights
     if gates is not None and gates.values:
-        final_weights = fold_gates(graph, coloring, gates, weights, mode=config.fold_mode)
+        final_weights = fold_gates(graph, coloring, gates, weights)
     if out_dir is not None:
         graphio.save(graph, str(out_dir / "final_graph.txt"))
         save_checkpoint(
             out_dir / "final_model.npz", graph=graph, weights=final_weights,
-            meta={"folded": True, "baseline": list(baseline)},
+            meta={"folded": True, "baseline": list(baseline), "entry_shape": entry_dims},
         )
         if gates is not None and gates.values:
             extras = {

@@ -50,7 +50,6 @@ from prunekit.graphio import serialize
 from prunekit.objective import ObjectiveConfig, total_loss
 from prunekit.optim import OptimConfig, load_checkpoint
 from prunekit.pruner import (
-    FOLD_PRODUCER,
     fold_gates,
     masked_scales,
     rewrite,
@@ -252,10 +251,7 @@ def test_criterion_3_rewrite_and_fold_reproduce_the_masked_network():
 
         # Folding the carried-over gains must let the small network run with
         # no gates at all and still match the masked original.
-        folded = fold_gates(
-            result.graph, result.coloring, result.gates, result.weights,
-            FOLD_PRODUCER,
-        )
+        folded = fold_gates(result.graph, result.coloring, result.gates, result.weights)
         scales = masked_scales(graph, coloring, gates, masks)
         probe_rng = np.random.default_rng(seed + 104729)
         worst = 0.0
@@ -264,13 +260,9 @@ def test_criterion_3_rewrite_and_fold_reproduce_the_masked_network():
                 (entry_shape.batch, entry_shape.channels, *entry_shape.spatial)
             ).astype(np.float32)
             reference = forward(
-                graph, weights, probe,
-                coloring=coloring, node_scales=scales, training=False,
+                graph, weights, probe, node_scales=scales, training=False
             ).output
-            pruned = forward(
-                result.graph, folded, probe,
-                coloring=result.coloring, gates=None, training=False,
-            ).output
+            pruned = forward(result.graph, folded, probe, training=False).output
             worst = max(worst, float(np.max(np.abs(reference - pruned))))
         assert worst < 1e-5, f"seed {seed}: masked-vs-folded {worst:.3e}"
 
@@ -348,10 +340,7 @@ def test_criterion_4_masked_residual_branch_is_spliced_away():
     probe_rng = np.random.default_rng(11)
     for _ in range(4):
         probe = probe_rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-        masked = forward(
-            graph, weights, probe, coloring=coloring, node_scales=scales,
-            training=False,
-        ).output
+        masked = forward(graph, weights, probe, node_scales=scales, training=False).output
         pruned = forward(result.graph, result.weights, probe, training=False).output
         assert np.array_equal(masked, pruned)
 

@@ -11,8 +11,6 @@ from prunekit.data import (
     batches,
     generate_synthetic,
     load_cifar10,
-    load_dataset,
-    save_dataset,
     split,
 )
 from prunekit.errors import (
@@ -271,30 +269,6 @@ class TestBatches:
     def test_bad_batch_size_rejected(self):
         with pytest.raises(InvalidConfig):
             next(batches(self.tagged(4), 0))
-
-
-# -- save / load ----------------------------------------------------------------------
-
-
-class TestContainers:
-    def test_round_trip_is_exact(self, tmp_path):
-        ds = generate_synthetic(SHAPES, 3, seed=6, size=16)
-        path = tmp_path / "shapes.npz"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back.fingerprint() == ds.fingerprint()
-        assert back.name == ds.name
-        assert back.classes == ds.classes
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFile):
-            load_dataset(tmp_path / "nope.npz")
-
-    def test_wrong_archive_contents(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, something_else=np.zeros(3))
-        with pytest.raises(CorruptFile):
-            load_dataset(path)
 
 
 # -- CIFAR-10 binary loader -----------------------------------------------------------

@@ -11,6 +11,7 @@ from prunekit.engine import (
     trainable_params,
 )
 from prunekit.errors import (
+    LengthMismatch,
     MissingWeights,
     NonFiniteTensor,
     ShapeMismatch,
@@ -24,7 +25,7 @@ from prunekit.graph import (
     infer_shapes,
     simple_node,
 )
-from prunekit.relax import GateSet
+from prunekit.relax import gate_scales, score_grads
 from prunekit.subgraph import identify_subgraphs
 
 from gen import gated_setups, grouped_setup, random_gates
@@ -380,11 +381,11 @@ class TestEdgeShapes:
 
 class TestGradients:
     def loss_and_grads(self, graph, weights, x, probe, *, training, coloring=None, gates=None):
-        run = forward(
-            graph, copy.deepcopy(weights), x,
-            coloring=coloring, gates=gates, training=training,
-        )
+        scales = gate_scales(coloring, gates, x.dtype) if gates is not None else None
+        run = forward(graph, copy.deepcopy(weights), x, node_scales=scales, training=training)
         grads = run.backward(probe)
+        if gates is not None:
+            grads = score_grads(coloring, gates, grads)
         return float(np.sum(run.output * probe)), grads
 
     def fd_check(self, seed, training, with_gates):
@@ -395,7 +396,7 @@ class TestGradients:
             if not gates.values:
                 return 0.0
         rng = np.random.default_rng(seed + 99)
-        out_shape = forward(graph, copy.deepcopy(weights), x, coloring=col, gates=gates).output.shape
+        out_shape = forward(graph, copy.deepcopy(weights), x).output.shape
         probe = rng.normal(0, 1, out_shape)
 
         _, grads = self.loss_and_grads(
@@ -469,11 +470,13 @@ class TestRunSemantics:
         with pytest.raises(NonFiniteTensor):
             forward(graph, weights, x)
 
-    def test_gates_and_scales_exclusive(self):
-        graph, shapes, col, weights, x = run_setup(0)
-        gates = GateSet(values={})
-        with pytest.raises(ShapeMismatch):
-            forward(graph, weights, x, coloring=col, gates=gates, node_scales={})
+    def test_node_scale_width_checked(self):
+        g = chain_graph(conv_node("c", 3, 4, kernel=1, stride=1, padding=0))
+        rng = np.random.default_rng(0)
+        x = rng.normal(0, 1, (2, 3, 4, 4))
+        w = {"c": {"kernel": rng.normal(0, 1, (4, 3, 1, 1))}}
+        with pytest.raises(LengthMismatch):
+            forward(g, w, x, node_scales={"c": np.ones(3)})
 
     def test_node_scales_zero_kills_channel(self):
         g = chain_graph(conv_node("c", 3, 4, kernel=1, stride=1, padding=0))
@@ -492,7 +495,9 @@ class TestRunSemantics:
         weights = init_weights(graph, shapes, rng, dtype=np.float64)
         x = rng.normal(0, 1, entry_shape.dims())
         gates = random_gates(col, rng, dtype=np.float64)
-        gated = forward(graph, copy.deepcopy(weights), x, coloring=col, gates=gates)
+        gated = forward(
+            graph, copy.deepcopy(weights), x, node_scales=gate_scales(col, gates, x.dtype)
+        )
         # replicate via fixed node scales on each producer
         scales = {}
         for group in col.prunable_groups():

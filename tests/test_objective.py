@@ -23,7 +23,6 @@ from prunekit.objective import (
     cross_entropy,
     mean_iou,
     resolve_schedule,
-    top1_accuracy,
     total_loss,
 )
 from prunekit.relax import init_gates, sigma
@@ -232,7 +231,7 @@ class TestTotalLoss:
         weights = init_weights(graph, shapes, rng, dtype=np.float64)
         x = rng.normal(0, 1, entry_shape.dims())
         gates = random_gates(col, rng, dtype=np.float64)
-        out_shape = forward(graph, weights, x, coloring=col, gates=gates).output.shape
+        out_shape = forward(graph, weights, x).output.shape
         labels = rng.integers(0, out_shape[1], (out_shape[0],) + tuple(out_shape[2:]))
         return graph, shapes, col, weights, gates, x, labels
 
@@ -285,10 +284,6 @@ class TestTotalLoss:
 
 
 class TestMetrics:
-    def test_top1(self):
-        logits = np.array([[3.0, 1.0], [0.0, 2.0], [5.0, 4.0], [1.0, 9.0]])
-        assert top1_accuracy(logits, np.array([0, 1, 1, 1])) == 0.75
-
     def test_confusion_and_miou_hand_case(self):
         pred = np.array([0, 0, 1, 1, 2, 2])
         true = np.array([0, 1, 1, 1, 2, 0])

@@ -1,5 +1,6 @@
 """Mask extraction, graph rewriting, masked-vs-pruned parity, gain folding."""
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from prunekit.errors import EmptyNetwork, InvalidConfig, NoFoldTarget, ShapeDrif
 from prunekit.graph import OpKind, TensorShape, infer_shapes, validate
 from prunekit.models import build_reference_model
 from prunekit.pruner import (
-    FOLD_NORM,
-    FOLD_PRODUCER,
     alive_channels,
     fold_gates,
     masked_scales,
@@ -19,7 +18,7 @@ from prunekit.pruner import (
     threshold_masks,
     verify_equivalence,
 )
-from prunekit.relax import GateSet, MaskSet, init_gates, sigma
+from prunekit.relax import GateSet, MaskSet, gate_scales, init_gates, sigma
 from prunekit.subgraph import identify_subgraphs
 
 from gen import gated_setups, random_gates, random_masks
@@ -233,49 +232,23 @@ class TestMaskedScales:
 class TestFolding:
     def test_producer_fold_exact_in_both_modes(self):
         graph, entry, shapes, col, weights, gates = model_setup(dtype=np.float64)
-        folded = fold_gates(graph, col, gates, weights, mode=FOLD_PRODUCER)
+        folded = fold_gates(graph, col, gates, weights)
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, entry.dims())
+        scales = gate_scales(col, gates, x.dtype)
         for training in (False, True):
-            a = forward(graph, copy.deepcopy(weights), x, coloring=col, gates=gates,
+            a = forward(graph, copy.deepcopy(weights), x, node_scales=scales,
                         training=training).output
             b = forward(graph, copy.deepcopy(folded), x, training=training).output
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
-    def test_norm_fold_exact_in_eval_only(self):
-        graph, entry, shapes, col, weights, gates = model_setup(dtype=np.float64)
-        # seed nontrivial running stats so the shift correction matters
-        rng = np.random.default_rng(1)
-        for nid, per in weights.items():
-            if "running_mean" in per:
-                per["running_mean"] += rng.normal(0, 0.5, per["running_mean"].shape)
-                per["running_var"] *= rng.uniform(0.5, 2.0, per["running_var"].shape)
-        folded = fold_gates(graph, col, gates, weights, mode=FOLD_NORM)
-        x = rng.normal(0, 1, entry.dims())
-        a = forward(graph, copy.deepcopy(weights), x, coloring=col, gates=gates,
-                    training=False).output
-        b = forward(graph, copy.deepcopy(folded), x, training=False).output
-        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-11)
-
-    def test_norm_fold_needs_norm_member(self):
-        # a model whose gated group has no BatchNorm cannot fold into one
-        setups = gated_setups(6)
-        found = False
-        for seed, graph, entry, shapes, col in setups:
-            has_bn = {m.node for g in col.prunable_groups() for m in g.members
-                      if m.role == "bn-channels"}
-            if has_bn:
-                continue
-            rng = np.random.default_rng(seed)
-            weights = init_weights(graph, shapes, rng)
-            gates = random_gates(col, rng)
-            with pytest.raises(NoFoldTarget):
-                fold_gates(graph, col, gates, weights, mode=FOLD_NORM)
-            found = True
-            break
-        assert found, "no BatchNorm-free gated graph among the first setups"
-
-    def test_unknown_mode_rejected(self):
+    def test_group_without_producer_rejected(self):
         graph, entry, shapes, col, weights, gates = model_setup()
+        gid = col.producer_group("b2.conv1")
+        group = col.group(gid)
+        stripped = dataclasses.replace(
+            group, members=tuple(m for m in group.members if m.node != "b2.conv1")
+        )
+        groups = tuple(stripped if g.id == gid else g for g in col.groups)
         with pytest.raises(NoFoldTarget):
-            fold_gates(graph, col, gates, weights, mode="entry")
+            fold_gates(graph, dataclasses.replace(col, groups=groups), gates, weights)

@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from prunekit.errors import InvalidConfig, LengthMismatch
+from prunekit.errors import InvalidConfig
 from prunekit.graph import TensorShape, infer_shapes
 from prunekit.models import build_reference_model
+from prunekit.pruner import threshold_masks
 from prunekit.relax import (
     GateSet,
-    MaskSet,
-    extract_mask,
-    gate_apply,
     export_snapshot,
     init_gates,
     sigma,
@@ -94,38 +92,26 @@ class TestGateSet:
         with pytest.raises(InvalidConfig):
             GateSet(values={}, stiffening_sd=0.0)
 
-    def test_gate_apply_broadcasts_over_batch_and_space(self):
-        x = np.arange(2 * 3 * 4 * 4, dtype=np.float32).reshape(2, 3, 4, 4)
-        gate = np.array([0.0, 0.5, 1.0], dtype=np.float32)
-        y = gate_apply(x, gate)
-        np.testing.assert_array_equal(y[:, 0], 0.0)
-        np.testing.assert_allclose(y[:, 1], x[:, 1] * 0.5)
-        np.testing.assert_array_equal(y[:, 2], x[:, 2])
-
-    def test_gate_apply_shape_checked(self):
-        with pytest.raises(LengthMismatch):
-            gate_apply(np.zeros((2, 3, 4, 4)), np.zeros(4))
-
 
 class TestMasks:
     def test_threshold_is_strict(self):
         # sigma(0.25, a=4) = 0.7310585786300049 exactly at the threshold -> drop
         gates = GateSet(values={0: np.array([0.25, 0.3, -0.25])}, steepness=4.0)
-        mask = extract_mask(gates, threshold=0.7310585786300049)
+        mask = threshold_masks(gates, 0.7310585786300049)
         np.testing.assert_array_equal(mask.masks[0], [0, 1, 0])
-        assert mask.kept(0).tolist() == [1]
+        assert np.flatnonzero(mask.masks[0]).tolist() == [1]
 
     def test_zero_threshold_keeps_everything(self):
         gates = GateSet(values={0: np.array([-50.0, 0.0, 50.0])})
-        mask = extract_mask(gates, threshold=0.0)
+        mask = threshold_masks(gates, 0.0)
         np.testing.assert_array_equal(mask.masks[0], [1, 1, 1])
 
     def test_threshold_domain(self):
         gates = GateSet(values={0: np.zeros(3)})
         with pytest.raises(InvalidConfig):
-            extract_mask(gates, threshold=1.0)
+            threshold_masks(gates, 1.0)
         with pytest.raises(InvalidConfig):
-            extract_mask(gates, threshold=-0.1)
+            threshold_masks(gates, -0.1)
 
 
 class TestStiffening:

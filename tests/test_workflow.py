@@ -15,8 +15,8 @@ from prunekit.engine import forward
 from prunekit.errors import InvalidConfig, RewriteMismatch
 from prunekit.graph import TensorShape, infer_shapes, validate
 from prunekit.objective import ObjectiveConfig, confusion_counts, mean_iou
-from prunekit.optim import OptimConfig, load_checkpoint
-from prunekit.relax import snapshot
+from prunekit.optim import OptimConfig, load_checkpoint, save_checkpoint
+from prunekit.relax import gate_scales, snapshot
 from prunekit.subgraph import identify_subgraphs
 from prunekit.workflow import (
     DEFAULT_THRESHOLD_RAMP,
@@ -303,7 +303,8 @@ class TestRunArtifacts:
         plain = forward(result.graph, ckpt_weights, probe, training=False).output
         gated = forward(
             result.graph, {k: v for k, v in ckpt_weights.items()}, probe,
-            coloring=result.coloring, gates=result.gates, training=False,
+            node_scales=gate_scales(result.coloring, result.gates, probe.dtype),
+            training=False,
         ).output
         # Folding multiplies the gate gains into producer kernels, so running
         # the folded weights *with* gates applies the gains twice.
@@ -480,6 +481,31 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "sigma_p" in out and "sigma_q" in out
+
+    @pytest.mark.parametrize("name", ["step_01.npz", "final_model.npz"])
+    def test_report_defaults_to_checkpoint_entry_shape(self, mini_run, capsys, name):
+        # mini_run trains resnet8 at 16x16, whose head cannot take 32x32.
+        path = mini_run[2] / name
+        ckpt = load_checkpoint(path)
+        shapes = infer_shapes(ckpt.graph, TensorShape(1, 3, (16, 16)))
+        coloring = identify_subgraphs(ckpt.graph, shapes)
+        expected = structure_measures(ckpt.graph, coloring, ckpt.gates, shapes).to_text()
+        assert cli_main(["report", "--checkpoint", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_report_input_shape_overrides_checkpoint(self, mini_run, capsys):
+        path = mini_run[2] / "step_01.npz"
+        code = cli_main(["report", "--checkpoint", str(path), "--input-shape", "3x32x32"])
+        assert code == 2
+        assert "unit spatial extents" in capsys.readouterr().err
+
+    def test_report_without_entry_shape_needs_flag(self, mini_run, capsys, tmp_path):
+        ckpt = load_checkpoint(mini_run[2] / "step_01.npz")
+        bare = tmp_path / "bare.npz"
+        save_checkpoint(bare, graph=ckpt.graph, weights=ckpt.weights, gates=ckpt.gates)
+        assert cli_main(["report", "--checkpoint", str(bare)]) == 2
+        assert "--input-shape" in capsys.readouterr().err
+        assert cli_main(["report", "--checkpoint", str(bare), "--input-shape", "3x16x16"]) == 0
 
     def test_export_gates_round_trips(self, trained, capsys, tmp_path):
         out = tmp_path / "gates.txt"
