@@ -6,13 +6,13 @@ replays the tape in reverse, accumulating gradients for weights, node scales
 and (additively, for fan-out) intermediate activations.
 
 Channel scaling has one input, ``forward(node_scales={node_id: vector})``:
-each named node's output is multiplied by its per-channel vector inside the
-node's own tape record, whose backward hands ``gy * vector`` to the op and
+each named node's output is multiplied by its per-channel vector, and the
+node's own tape record keeps the vector and the unscaled output. Backward
 returns the float64 channel sum of ``gy * unscaled output`` under the key
-``("n", node_id)``. Gates use it with their gains at the sites
-``relax.gate_sites`` picks and turn those gradients into score gradients with
-``relax.score_grads``; a masked model uses it with fixed keep-times-gain
-vectors.
+``("n", node_id)`` and hands ``gy * vector`` to the op's backward. Gates use
+it with their gains at the sites ``relax.gate_sites`` picks and turn those
+gradients into score gradients with ``relax.score_grads``; a masked model
+uses it with fixed keep-times-gain vectors.
 
 Numerics: activations and parameters share the caller's dtype (training uses
 float32); statistics and gradient *reductions* (BatchNorm moments, per-channel
@@ -69,6 +69,9 @@ from .relax import GateSet
 
 ParamKey = tuple  # ("w", node_id, param_name), ("s", group_id) or ("n", node_id)
 Weights = dict[str, dict[str, np.ndarray]]
+# One tape record per node: id, input ids, the op's backward (None for a
+# source) and, for a scaled node, (scale vector, unscaled output).
+_Record = tuple[str, tuple[str, ...], Callable | None, tuple[np.ndarray, np.ndarray] | None]
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -139,7 +142,7 @@ class Run:
     graph: Graph
     acts: dict[str, np.ndarray]
     output: np.ndarray
-    _tape: list[tuple[str, tuple[str, ...], Callable]] = field(default_factory=list)
+    _tape: list[_Record] = field(default_factory=list)
     _consumed: bool = False
 
     def backward(self, output_grad: np.ndarray) -> dict[ParamKey, np.ndarray]:
@@ -155,9 +158,17 @@ class Run:
             )
         act_grads: dict[str, np.ndarray] = {self.graph.exit: output_grad}
         param_grads: dict[ParamKey, np.ndarray] = {}
-        for out_key, in_keys, fn in reversed(self._tape):
+        for out_key, in_keys, fn, scale in reversed(self._tape):
             gy = act_grads.pop(out_key, None)
             if gy is None:
+                continue
+            if scale is not None:
+                # Rebinding gy frees the scaled output's gradient before the
+                # op's backward allocates its own.
+                vec, pre = scale
+                param_grads[("n", out_key)] = _csum(gy * pre, np.float64)
+                gy = gy * _cshape(vec, gy.ndim)
+            if fn is None:
                 continue
             in_grads, p_grads = fn(gy)
             for src, g in zip(in_keys, in_grads):
@@ -208,7 +219,7 @@ def forward(
 
     scales = node_scales or {}
     acts: dict[str, np.ndarray] = {}
-    tape: list[tuple[str, tuple[str, ...], Callable]] = []
+    tape: list[_Record] = []
 
     for nid in graph.topo_order():
         node = graph.nodes[nid]
@@ -219,30 +230,19 @@ def forward(
 
         xs = [acts[p] for p in producers]
         y, fn = _OP_TABLE[node.kind](node, xs, weights.get(nid), x, training, bn_momentum)
+        scale = None
         if nid in scales:
             vec = scales[nid].astype(y.dtype, copy=False)
             if vec.shape[0] != y.shape[1]:
                 raise LengthMismatch(
                     f"scale width {vec.shape[0]} does not match {nid!r} output {y.shape}"
                 )
-            fn = _scaled(nid, fn, vec, y)
+            scale = (vec, y)
             y = y * _cshape(vec, y.ndim)
-        if fn is not None:
-            tape.append((nid, producers, fn))
+        tape.append((nid, producers, fn, scale))
         acts[nid] = y
 
     return Run(graph=graph, acts=acts, output=acts[graph.exit], _tape=tape)
-
-
-def _scaled(nid: str, fn: Callable | None, vec: np.ndarray, pre: np.ndarray) -> Callable:
-    """Backward of ``pre * vec`` followed by the op's own backward ``fn``."""
-
-    def scaled_fn(gy):
-        in_grads, p_grads = fn(gy * _cshape(vec, gy.ndim)) if fn is not None else ([], {})
-        p_grads[("n", nid)] = _csum(gy * pre, np.float64)
-        return in_grads, p_grads
-
-    return scaled_fn
 
 
 # -- per-kind forward implementations -------------------------------------------

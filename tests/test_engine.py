@@ -50,7 +50,7 @@ def chain_graph(*mid_nodes):
 def op_record(run, nid):
     """Backward function of the run's node ``nid``: maps an output gradient
     to ``([dx], {param key: gradient})``."""
-    return next(fn for out_key, _, fn in run._tape if out_key == nid)
+    return next(fn for out_key, _, fn, _ in run._tape if out_key == nid)
 
 
 def assert_bitwise_equal(got, want):

@@ -35,9 +35,9 @@ def backward_capturing(run, output_grad):
             seen[key] = gy
             return fn(gy)
 
-        return wrapped
+        return None if fn is None else wrapped
 
-    run._tape[:] = [(key, ins, capture(key, fn)) for key, ins, fn in run._tape]
+    run._tape[:] = [(key, ins, capture(key, fn), scale) for key, ins, fn, scale in run._tape]
     return run.backward(output_grad), seen
 
 
