@@ -8,7 +8,16 @@ import pytest
 from prunekit.accounting import structure_measures
 from prunekit.engine import forward, init_weights
 from prunekit.errors import EmptyNetwork, InvalidConfig, NoFoldTarget, ShapeDrift
-from prunekit.graph import OpKind, TensorShape, infer_shapes, validate
+from prunekit.graph import (
+    Graph,
+    OpKind,
+    TensorShape,
+    conv_node,
+    fc_node,
+    infer_shapes,
+    simple_node,
+    validate,
+)
 from prunekit.models import build_reference_model
 from prunekit.pruner import (
     alive_channels,
@@ -234,6 +243,44 @@ class TestFolding:
         graph, entry, shapes, col, weights, gates = model_setup(dtype=np.float64)
         folded = fold_gates(graph, col, gates, weights)
         rng = np.random.default_rng(0)
+        x = rng.normal(0, 1, entry.dims())
+        scales = gate_scales(col, gates, x.dtype)
+        for training in (False, True):
+            a = forward(graph, copy.deepcopy(weights), x, node_scales=scales,
+                        training=training).output
+            b = forward(graph, copy.deepcopy(folded), x, training=training).output
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    def test_fully_connected_fold_exact_in_both_modes(self):
+        # A fully-connected layer feeding another one is a gate site, so its
+        # weight rows and its bias both carry the gains.
+        nodes = [
+            simple_node("in", OpKind.INPUT),
+            conv_node("conv", 3, 4, kernel=1),
+            simple_node("pool", OpKind.MAX_POOL, factor=4),
+            fc_node("fc1", 4, 5),
+            simple_node("relu", OpKind.RELU),
+            fc_node("fc2", 5, 3),
+            simple_node("out", OpKind.OUTPUT),
+        ]
+        chain = [n.id for n in nodes]
+        graph = Graph(
+            nodes={n.id: n for n in nodes},
+            edges=tuple((a, b, 0) for a, b in zip(chain, chain[1:])),
+            entry="in",
+            exit="out",
+        )
+        entry = TensorShape(3, 3, (4, 4))
+        col = identify_subgraphs(graph, infer_shapes(graph, entry))
+        gid = col.producer_group("fc1")
+        assert gid in {g.id for g in col.prunable_groups()}
+        rng = np.random.default_rng(0)
+        weights = init_weights(graph, infer_shapes(graph, entry), rng, dtype=np.float64)
+        weights["fc1"]["bias"] = rng.normal(0, 1, 5)
+        gates = random_gates(col, rng, dtype=np.float64)
+        folded = fold_gates(graph, col, gates, weights)
+        gains = sigma(gates.values[gid], gates.steepness)
+        np.testing.assert_allclose(folded["fc1"]["bias"], weights["fc1"]["bias"] * gains)
         x = rng.normal(0, 1, entry.dims())
         scales = gate_scales(col, gates, x.dtype)
         for training in (False, True):

@@ -16,7 +16,7 @@ from prunekit.errors import InvalidConfig, RewriteMismatch
 from prunekit.graph import TensorShape, infer_shapes, validate
 from prunekit.objective import ObjectiveConfig, confusion_counts, mean_iou
 from prunekit.optim import OptimConfig, load_checkpoint, save_checkpoint
-from prunekit.relax import gate_scales, snapshot
+from prunekit.relax import GateSet, gate_scales, snapshot
 from prunekit.subgraph import identify_subgraphs
 from prunekit.workflow import (
     DEFAULT_THRESHOLD_RAMP,
@@ -131,6 +131,14 @@ class TestWorkflowConfig:
         path = tmp_path / "config.yaml"
         path.write_text("- just\n- a\n- list\n")
         with pytest.raises(InvalidConfig):
+            WorkflowConfig.from_yaml(path)
+
+    def test_from_yaml_rejects_removed_fold_mode(self, tmp_path):
+        doc = {"model": "resnet8", "steps": [{"prune": False, "epochs": 1}],
+               "fold_mode": "producer"}
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(InvalidConfig, match="fold_mode"):
             WorkflowConfig.from_yaml(path)
 
 
@@ -475,6 +483,22 @@ class TestCli:
         ])
         assert code == 0
         assert "score" in capsys.readouterr().out
+
+    def test_eval_accepts_empty_gate_set(self, trained, capsys, tmp_path):
+        ckpt = load_checkpoint(trained / "step_00.npz")
+        empty = tmp_path / "empty_gates.npz"
+        save_checkpoint(empty, graph=ckpt.graph, weights=ckpt.weights,
+                        gates=GateSet(values={}, steepness=ckpt.gates.steepness))
+        assert load_checkpoint(empty).gates.values == {}
+        full = generate_synthetic(BLOBS, 40, seed=1)
+        _, test_set = split(full, 0.75, seed=1)
+        expected = evaluate(ckpt.graph, ckpt.weights, test_set)
+        code = cli_main([
+            "eval", "--checkpoint", str(empty), "--dataset", BLOBS,
+            "--size", "40", "--train-fraction", "0.75", "--seed", "1",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"score {expected:.4f} ")
 
     def test_report_prints_totals(self, trained, capsys):
         code = cli_main(["report", "--checkpoint", str(trained / "step_00.npz")])
