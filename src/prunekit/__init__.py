@@ -5,7 +5,7 @@ The pipeline, bottom to top:
 - :mod:`prunekit.graph` / :mod:`prunekit.graphio` — typed operator graphs,
   shape inference, validation, and a line-oriented text format.
 - :mod:`prunekit.subgraph` — coupled-channel analysis: which output channels
-  must be pruned together, and what each group costs.
+  must be pruned together, and each operator's cost as a group-width polynomial.
 - :mod:`prunekit.relax` — per-channel logistic gates and the polarization
   penalty that drives them toward 0/1.
 - :mod:`prunekit.accounting` — differentiable parameter/compute totals.

@@ -2,32 +2,17 @@
 
 Costs are evaluated from *effective* channel counts: with gates attached,
 every channel contributes its gain ``sigma(s)`` instead of 1, so each group's
-effective width is the sum of its gains. The per-operator rules (``K`` =
-kernel size product, ``D`` = output spatial size, ``b`` = batch):
-
-======================  =====================  ==================================
-kind                    parameters             multiply-accumulate count
-======================  =====================  ==================================
-Convolution             ``c_i * c_o * K``      ``c_o * D * (K * c_i + 1)``
-BatchNorm               ``2 * c``              ``b * c * D``
-ReLU, Sum, Product      0                      ``b * c * D``
-Concatenation           0                      0
-FullyConnected          ``c_i * c_o + c_o``    ``c_o * (c_i + 1)``
-MaxPool, Upsample       0                      ``b * c * D_in`` (see note)
-Input, Output, Unknown  0                      0
-======================  =====================  ==================================
-
-The convolution parameter count deliberately has no bias term while its FLOP
-count carries a ``+1`` per output element; both follow the cost model this
-tool standardises on and the same rules are used on pruned graphs, so ratios
-stay comparable. MaxPool/Upsample have no canonical cost here: they are
-counted like element-wise maps over their *input* and every report carries a
-note saying so.
-
-Because every cost is a polynomial in the per-group effective widths, exact
-gradients with respect to the gate scores are available in closed form
-(:func:`structure_grads`), which is what lets a training loss target a FLOP
-or sparsity budget directly.
+effective width is the sum of its gains. Every operator's cost is a
+polynomial of degree at most two in those widths: with ``c_in`` and ``c_out``
+its input and output widths, it has ``p2*c_in*c_out + p1*c_out`` parameters
+and ``q2*c_in*c_out + q1*c_out`` multiply-accumulates, with the per-kind
+coefficients of :func:`prunekit.subgraph.cost_coefficients`.
+:func:`~prunekit.subgraph.identify_subgraphs` compiles them once per graph
+into the coloring's :class:`~prunekit.subgraph.CostTable`, together with the
+fully-on totals. The value (:func:`structure_measures`) and the exact
+gradient with respect to the gate scores (:func:`structure_grads`) are a few
+array operations over that one table, which is what lets a training loss
+target a FLOP or sparsity budget directly.
 """
 from __future__ import annotations
 
@@ -38,10 +23,10 @@ import numpy as np
 from .errors import ZeroTotal
 from .graph import Graph, OpKind, TensorShape
 from .relax import GateSet, sigma, sigma_grad
-from .subgraph import Coloring
+from .subgraph import Coloring, cost_coefficients
 
-_NOTE_POOL = "MaxPool/Upsample FLOPs are approximated as element-wise maps over their input"
-_NOTE_UNKNOWN = "graph contains Unknown operators counted as zero cost"
+# Parameter counts do not depend on tensor shapes.
+_ANY_SHAPE = TensorShape(1, 1)
 
 
 @dataclass(frozen=True)
@@ -81,46 +66,21 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def channel_totals(coloring: Coloring, gates: GateSet | None) -> dict[int, float]:
-    """Effective width per group: sum of gains for gated groups, full width
-    for non-prunable ones (and for all groups when ``gates`` is None)."""
-    sums: dict[int, float] = {}
-    for group in coloring.groups:
-        if gates is not None and group.id in gates.values:
-            sums[group.id] = float(np.sum(sigma(gates.values[group.id], gates.steepness)))
-        else:
-            sums[group.id] = float(group.width)
-    return sums
-
-
-def _node_channel_sums(
-    graph: Graph, coloring: Coloring, sums: dict[int, float], nid: str
-) -> tuple[float, dict[int, int], float, dict[int, int]]:
-    """Effective (input, output) widths of a node plus group multiplicities."""
-    node = graph.nodes[nid]
-    in_mult: dict[int, int] = {}
-    ins = graph.inputs(nid)
-    if ins:
-        for seg in coloring.node_segments[ins[0]]:
-            in_mult[seg.group] = in_mult.get(seg.group, 0) + 1
-    out_mult: dict[int, int] = {}
-    for seg in coloring.node_segments[nid]:
-        out_mult[seg.group] = out_mult.get(seg.group, 0) + 1
-    c_in = sum(mult * sums[g] for g, mult in in_mult.items())
-    c_out = sum(mult * sums[g] for g, mult in out_mult.items())
-    if node.kind == OpKind.INPUT:
-        c_in = 0.0
-    return c_in, in_mult, c_out, out_mult
+def channel_totals(coloring: Coloring, gates: GateSet | None) -> np.ndarray:
+    """Effective width per group, indexed by group id: sum of gains for gated
+    groups, full width for non-prunable ones (and for all groups when
+    ``gates`` is None)."""
+    return np.array([
+        float(np.sum(sigma(gates.values[g.id], gates.steepness)))
+        if gates is not None and g.id in gates.values
+        else float(g.width)
+        for g in coloring.groups
+    ])
 
 
 def op_params(node_kind: OpKind, c_in: float, c_out: float, kernel_size: int = 1) -> float:
-    if node_kind == OpKind.CONV:
-        return c_in * c_out * kernel_size
-    if node_kind == OpKind.FULLY_CONNECTED:
-        return c_in * c_out + c_out
-    if node_kind == OpKind.BATCH_NORM:
-        return 2.0 * c_out
-    return 0.0
+    (p2, _), (p1, _) = cost_coefficients(node_kind, kernel_size, _ANY_SHAPE, _ANY_SHAPE)
+    return c_in * c_out * p2 + c_out * p1
 
 
 def op_flops(
@@ -131,16 +91,15 @@ def op_flops(
     out_shape: TensorShape,
     in_shape: TensorShape | None,
 ) -> float:
-    if node_kind == OpKind.CONV:
-        return c_out * out_shape.spatial_size() * (kernel_size * c_in + 1.0)
-    if node_kind == OpKind.FULLY_CONNECTED:
-        return c_out * (c_in + 1.0)
-    if node_kind in (OpKind.BATCH_NORM, OpKind.RELU, OpKind.SUM, OpKind.PRODUCT):
-        return out_shape.batch * c_out * out_shape.spatial_size()
-    if node_kind in (OpKind.MAX_POOL, OpKind.UPSAMPLE):
-        assert in_shape is not None
-        return in_shape.batch * c_out * in_shape.spatial_size()
-    return 0.0
+    (_, q2), (_, q1) = cost_coefficients(node_kind, kernel_size, out_shape, in_shape)
+    return c_in * c_out * q2 + c_out * q1
+
+
+def _totals(coloring: Coloring, baseline: tuple[float, float] | None) -> tuple[float, float]:
+    total_p, total_q = coloring.costs.totals if baseline is None else baseline
+    if total_p <= 0.0 or total_q <= 0.0:
+        raise ZeroTotal("graph has no parametric operators to account for")
+    return total_p, total_q
 
 
 def structure_measures(
@@ -149,104 +108,42 @@ def structure_measures(
     gates: GateSet | None,
     shapes: dict[str, TensorShape],
     baseline: tuple[float, float] | None = None,
-    channel_sums: dict[int, float] | None = None,
+    channel_sums: np.ndarray | None = None,
 ) -> CostReport:
-    """Evaluate the cost model.
+    """Evaluate the cost model of ``graph`` at ``shapes``, as compiled into
+    ``coloring.costs``.
 
     ``baseline`` optionally overrides the fully-on denominators; a workflow
     that physically rewrites its graph passes the original model's totals so
     ``sigma_p`` / ``sigma_q`` keep measuring "fraction of the original cost".
-    ``channel_sums`` overrides the per-group effective widths directly (used
-    for footprint/what-if queries); it wins over ``gates``.
+    ``channel_sums`` overrides the per-group effective widths directly, as
+    :func:`channel_totals` lays them out (used for footprint/what-if
+    queries); it wins over ``gates``.
     """
-    sums = channel_sums if channel_sums is not None else channel_totals(coloring, gates)
-    full = channel_totals(coloring, None)
-
-    notes: set[str] = set()
-    per_op: dict[str, OpCost] = {}
-    relaxed_p = relaxed_q = 0.0
-    total_p = total_q = 0.0
-    for nid in graph.topo_order():
-        node = graph.nodes[nid]
-        if node.kind == OpKind.UNKNOWN:
-            notes.add(_NOTE_UNKNOWN)
-        if node.kind in (OpKind.MAX_POOL, OpKind.UPSAMPLE):
-            notes.add(_NOTE_POOL)
-        kernel_size = 1
-        if node.kind == OpKind.CONV:
-            kernel_size = int(np.prod(node.attr("kernel")))
-        in_shape = shapes[graph.inputs(nid)[0]] if graph.inputs(nid) else None
-        c_in, _, c_out, _ = _node_channel_sums(graph, coloring, sums, nid)
-        f_in, _, f_out, _ = _node_channel_sums(graph, coloring, full, nid)
-        p = op_params(node.kind, c_in, c_out, kernel_size)
-        q = op_flops(node.kind, c_in, c_out, kernel_size, shapes[nid], in_shape)
-        per_op[nid] = OpCost(p, q)
-        relaxed_p += p
-        relaxed_q += q
-        total_p += op_params(node.kind, f_in, f_out, kernel_size)
-        total_q += op_flops(node.kind, f_in, f_out, kernel_size, shapes[nid], in_shape)
-
-    if baseline is not None:
-        total_p, total_q = baseline
-    if total_p <= 0.0 or total_q <= 0.0:
-        raise ZeroTotal("graph has no parametric operators to account for")
+    widths = channel_totals(coloring, gates) if channel_sums is None else channel_sums
+    params, flops = coloring.costs.at(np.asarray(widths, dtype=np.float64))
+    total_p, total_q = _totals(coloring, baseline)
+    relaxed_p, relaxed_q = float(params.sum()), float(flops.sum())
     return CostReport(
-        per_op=per_op,
+        per_op={
+            nid: OpCost(p, q) for nid, p, q in zip(coloring.costs.nodes, params.tolist(), flops.tolist())
+        },
         total_params=total_p,
         total_flops=total_q,
         relaxed_params=relaxed_p,
         relaxed_flops=relaxed_q,
         sigma_p=relaxed_p / total_p,
         sigma_q=relaxed_q / total_q,
-        notes=tuple(sorted(notes)),
+        notes=coloring.costs.notes,
     )
 
 
-def structure_partials(
-    graph: Graph,
-    coloring: Coloring,
-    shapes: dict[str, TensorShape],
-    sums: dict[int, float],
-) -> tuple[dict[int, float], dict[int, float]]:
+def structure_partials(coloring: Coloring, widths: np.ndarray) -> np.ndarray:
     """Partial derivatives of the relaxed totals w.r.t. each group's
-    effective width: ``(dP/dc_g, dQ/dc_g)``."""
-    dP = {g.id: 0.0 for g in coloring.groups}
-    dQ = {g.id: 0.0 for g in coloring.groups}
-    for nid in graph.topo_order():
-        node = graph.nodes[nid]
-        kind = node.kind
-        c_in, in_mult, c_out, out_mult = _node_channel_sums(graph, coloring, sums, nid)
-        if kind == OpKind.CONV:
-            K = int(np.prod(node.attr("kernel")))
-            D = shapes[nid].spatial_size()
-            for g, mult in in_mult.items():
-                dP[g] += mult * c_out * K
-                dQ[g] += mult * c_out * D * K
-            for g, mult in out_mult.items():
-                dP[g] += mult * c_in * K
-                dQ[g] += mult * D * (K * c_in + 1.0)
-        elif kind == OpKind.FULLY_CONNECTED:
-            for g, mult in in_mult.items():
-                dP[g] += mult * c_out
-                dQ[g] += mult * c_out
-            for g, mult in out_mult.items():
-                dP[g] += mult * (c_in + 1.0)
-                dQ[g] += mult * (c_in + 1.0)
-        elif kind == OpKind.BATCH_NORM:
-            scale = shapes[nid].batch * shapes[nid].spatial_size()
-            for g, mult in out_mult.items():
-                dP[g] += mult * 2.0
-                dQ[g] += mult * scale
-        elif kind in (OpKind.RELU, OpKind.SUM, OpKind.PRODUCT):
-            scale = shapes[nid].batch * shapes[nid].spatial_size()
-            for g, mult in out_mult.items():
-                dQ[g] += mult * scale
-        elif kind in (OpKind.MAX_POOL, OpKind.UPSAMPLE):
-            in_shape = shapes[graph.inputs(nid)[0]]
-            scale = in_shape.batch * in_shape.spatial_size()
-            for g, mult in out_mult.items():
-                dQ[g] += mult * scale
-    return dP, dQ
+    effective width: rows ``dP/dc`` and ``dQ/dc``, indexed by group id."""
+    t = coloring.costs
+    c_in, c_out = t.u @ widths, t.v @ widths
+    return (t.quad * c_out) @ t.u + (t.quad * c_in + t.lin) @ t.v
 
 
 def structure_grads(
@@ -257,13 +154,8 @@ def structure_grads(
     baseline: tuple[float, float] | None = None,
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Exact per-channel gradients ``(d sigma_p / d s, d sigma_q / d s)``."""
-    report = structure_measures(graph, coloring, gates, shapes, baseline=baseline)
-    sums = channel_totals(coloring, gates)
-    dP, dQ = structure_partials(graph, coloring, shapes, sums)
-    grads_p: dict[int, np.ndarray] = {}
-    grads_q: dict[int, np.ndarray] = {}
-    for gid, s in gates.values.items():
-        dc = sigma_grad(s, gates.steepness)  # d(effective width)/d(score), per channel
-        grads_p[gid] = dc * (dP[gid] / report.total_params)
-        grads_q[gid] = dc * (dQ[gid] / report.total_flops)
-    return grads_p, grads_q
+    total_p, total_q = _totals(coloring, baseline)
+    d_p, d_q = structure_partials(coloring, channel_totals(coloring, gates)) / [[total_p], [total_q]]
+    # d(effective width)/d(score), per channel
+    dc = {gid: sigma_grad(s, gates.steepness) for gid, s in gates.values.items()}
+    return {gid: g * d_p[gid] for gid, g in dc.items()}, {gid: g * d_q[gid] for gid, g in dc.items()}

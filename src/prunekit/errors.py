@@ -120,3 +120,7 @@ class EmptyDataset(PrunekitError):
 
 class CheckpointError(PrunekitError):
     """A checkpoint is missing required entries or has a bad version."""
+
+
+class ResumeMismatch(CheckpointError):
+    """A run is resumed under a config other than the one its checkpoint records."""

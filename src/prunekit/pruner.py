@@ -345,7 +345,7 @@ def rewrite(
 
     # Integer structure counts at the binary masks (old graph, effective
     # widths) and of the rewritten graph.
-    sums = {g.id: float(len(keep[g.id])) for g in coloring.groups}
+    sums = [len(keep[g.id]) for g in coloring.groups]
     before = structure_measures(graph, coloring, None, shapes, channel_sums=sums)
     after = structure_measures(new_graph, new_coloring, None, new_shapes)
 

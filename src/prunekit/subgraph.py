@@ -20,13 +20,20 @@ Rules applied while walking the graph in topological order:
   channel offsets; no new group is created.
 * Unknown operators make every group flowing through them non-prunable, as
   does feeding the network output (the logits are never pruned).
+
+The result also carries the graph's :class:`CostTable`: every operator's
+cost as a polynomial in the group widths, by the rule in
+:func:`cost_coefficients`, for :mod:`prunekit.accounting` to evaluate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import InconsistentWidths
-from .graph import Edge, Graph, OpKind, TensorShape
+from .graph import Graph, OpKind, TensorShape
 
 ROLE_CONV_OUT = "conv-output"
 ROLE_CONV_IN = "conv-input"
@@ -65,28 +72,79 @@ class ChannelGroup:
     prunable: bool
 
 
+_POOL_NOTE = "MaxPool/Upsample FLOPs are approximated as element-wise maps over their input"
+_NOTES = {
+    OpKind.UNKNOWN: "graph contains Unknown operators counted as zero cost",
+    OpKind.MAX_POOL: _POOL_NOTE,
+    OpKind.UPSAMPLE: _POOL_NOTE,
+}
+
+
+def cost_coefficients(
+    kind: OpKind, kernel_size: int, out_shape: TensorShape, in_shape: TensorShape | None
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The per-kind cost rule as ``((p2, q2), (p1, q1))``: an operator with
+    ``c_in`` input and ``c_out`` output channels has ``p2*c_in*c_out +
+    p1*c_out`` parameters and ``q2*c_in*c_out + q1*c_out`` multiply-accumulates.
+
+    ``kernel_size`` is the kernel's element count. A convolution's parameters
+    have no bias term while its FLOPs count ``+1`` per output element; pruned
+    graphs follow the same rule, so ratios stay comparable. MaxPool and
+    Upsample have no canonical cost: they count as element-wise maps over
+    their input (``in_shape``), and reports carry a note saying so.
+    """
+    if kind == OpKind.CONV:
+        d = out_shape.spatial_size()
+        return (kernel_size, d * kernel_size), (0, d)
+    if kind == OpKind.FULLY_CONNECTED:
+        return (1, 1), (1, 1)
+    if kind in (OpKind.BATCH_NORM, OpKind.RELU, OpKind.SUM, OpKind.PRODUCT):
+        p1 = 2 if kind == OpKind.BATCH_NORM else 0
+        return (0, 0), (p1, out_shape.batch * out_shape.spatial_size())
+    if kind in (OpKind.MAX_POOL, OpKind.UPSAMPLE):
+        return (0, 0), (0, in_shape.batch * in_shape.spatial_size())
+    return (0, 0), (0, 0)
+
+
+@dataclass(frozen=True, eq=False)
+class CostTable:
+    """Every operator's ``[params, flops]`` as a polynomial in the group widths.
+
+    Entry ``i`` is ``nodes[i]`` (topological order). At group widths ``c``
+    its input and output widths are ``u[i] @ c`` and ``v[i] @ c``, and
+    columns ``i`` of ``quad``/``lin`` hold its :func:`cost_coefficients`.
+    ``totals`` are the ``(params, flops)`` sums with every channel on.
+    """
+
+    nodes: tuple[str, ...]
+    u: np.ndarray
+    v: np.ndarray
+    quad: np.ndarray
+    lin: np.ndarray
+    notes: tuple[str, ...]
+    totals: tuple[float, float] = (0.0, 0.0)
+
+    def at(self, c: np.ndarray) -> np.ndarray:
+        """Per-node ``[params, flops]`` rows at group widths ``c``."""
+        c_in, c_out = self.u @ c, self.v @ c
+        return (c_in * c_out) * self.quad + c_out * self.lin
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Result of :func:`identify_subgraphs`.
 
     ``node_segments`` maps every node id to the ordered segments of its
-    output tensor; ``assignment`` repeats that per edge (an edge always
-    carries its producer's full output).
+    output tensor (an edge always carries its producer's full output);
+    ``costs`` is the graph's compiled cost table.
     """
 
     groups: tuple[ChannelGroup, ...]
     node_segments: dict[str, tuple[Segment, ...]]
-    assignment: dict[Edge, tuple[Segment, ...]]
+    costs: CostTable
 
     def group(self, group_id: int) -> ChannelGroup:
         return self.groups[group_id]
-
-    def producer_group(self, node_id: str) -> int:
-        """Group id of the channels produced by a Convolution/FullyConnected."""
-        segs = self.node_segments[node_id]
-        if len(segs) != 1:
-            raise InconsistentWidths(f"node {node_id!r} does not produce a single segment")
-        return segs[0].group
 
     def prunable_groups(self) -> tuple[ChannelGroup, ...]:
         return tuple(g for g in self.groups if g.prunable)
@@ -213,11 +271,35 @@ def identify_subgraphs(graph: Graph, shapes: dict[str, TensorShape]) -> Coloring
         nid: tuple(Segment(group_ids[dsu.find(h)], w) for h, w in segs)
         for nid, segs in desc.items()
     }
-    assignment = {
-        (src, dst, slot): node_segments[src]
-        for src, dst, slot in graph.edges
-    }
-    return Coloring(groups=groups, node_segments=node_segments, assignment=assignment)
+    return Coloring(groups, node_segments, _compile_costs(graph, shapes, node_segments, groups))
+
+
+def _compile_costs(
+    graph: Graph,
+    shapes: dict[str, TensorShape],
+    node_segments: dict[str, tuple[Segment, ...]],
+    groups: tuple[ChannelGroup, ...],
+) -> CostTable:
+    order = graph.topo_order()
+    u, v = np.zeros((2, len(order), len(groups)))
+    coefficients = []
+    notes: set[str] = set()
+    for i, nid in enumerate(order):
+        node = graph.nodes[nid]
+        ins = graph.inputs(nid)
+        for seg in node_segments[ins[0]] if ins else ():
+            u[i, seg.group] += 1
+        for seg in node_segments[nid]:
+            v[i, seg.group] += 1
+        kernel_size = math.prod(node.attr("kernel")) if node.kind == OpKind.CONV else 1
+        in_shape = shapes[ins[0]] if ins else None
+        coefficients.append(cost_coefficients(node.kind, kernel_size, shapes[nid], in_shape))
+        if node.kind in _NOTES:
+            notes.add(_NOTES[node.kind])
+    quad, lin = np.array(coefficients, dtype=np.float64).transpose(1, 2, 0)
+    table = CostTable(tuple(order), u, v, quad, lin, tuple(sorted(notes)))
+    full = table.at(np.array([g.width for g in groups], dtype=np.float64))
+    return replace(table, totals=tuple(full.sum(axis=1).tolist()))
 
 
 def _merge_descriptors(
@@ -253,31 +335,3 @@ def _canonical_key(root: int, root_members: dict[int, list[GroupMember]], dsu: _
         return (first.node, first.role, first.offset)
     return (dsu.seed[root], "", 0)
 
-
-def group_cost_footprint(
-    coloring: Coloring, graph: Graph, shapes: dict[str, TensorShape]
-) -> dict[int, tuple[float, float]]:
-    """Cost attributable to each prunable group: ``(params, flops)``.
-
-    The footprint of a group is the drop in total model cost when that group
-    alone is switched fully off while every other channel stays on, i.e. the
-    marginal cost of fully enabling it.
-    """
-    from . import accounting  # local import; accounting depends on this module's types
-
-    footprint: dict[int, tuple[float, float]] = {}
-    if not any(g.prunable for g in coloring.groups):
-        return footprint
-    full = accounting.channel_totals(coloring, gates=None)
-    base = accounting.structure_measures(graph, coloring, None, shapes)
-    for group in coloring.groups:
-        if not group.prunable:
-            continue
-        sums = dict(full)
-        sums[group.id] = 0.0
-        report = accounting.structure_measures(graph, coloring, None, shapes, channel_sums=sums)
-        footprint[group.id] = (
-            base.total_params - report.relaxed_params,
-            base.total_flops - report.relaxed_flops,
-        )
-    return footprint

@@ -35,7 +35,7 @@ from .data import (
     split,
 )
 from .engine import Weights, forward, init_weights, trainable_params
-from .errors import InvalidConfig, RewriteMismatch
+from .errors import InvalidConfig, ResumeMismatch, RewriteMismatch
 from .graph import Graph, TensorShape, infer_shapes
 from .models import build_reference_model
 from .objective import ObjectiveConfig, confusion_counts, mean_iou, total_loss
@@ -247,6 +247,32 @@ class _MetricsWriter:
                 csv.writer(fh).writerow([row.get(col, "") for col in METRIC_COLUMNS])
 
 
+def _config_record(config: WorkflowConfig) -> dict:
+    """``config`` as checkpoints store it: plain JSON values."""
+    return json.loads(json.dumps(config.to_dict(), default=str))
+
+
+def _leaves(value, key: str = ""):
+    """``(dotted key, value)`` of every leaf of nested dicts and lists."""
+    if not isinstance(value, (dict, list)):
+        yield key, value
+        return
+    for name, item in value.items() if isinstance(value, dict) else enumerate(value):
+        yield from _leaves(item, f"{key}.{name}" if key else str(name))
+
+
+def _check_resume_config(saved: dict, config: WorkflowConfig, next_step: int) -> None:
+    """Refuse a resume whose config differs from the checkpoint's in anything
+    but ``out_dir`` and the steps from ``next_step`` on, which have not run."""
+    old, new = (
+        dict(_leaves({**raw, "out_dir": None, "steps": raw.get("steps", [])[:next_step]}))
+        for raw in (saved, _config_record(config))
+    )
+    differing = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+    if differing:
+        raise ResumeMismatch(f"config differs from the checkpoint's in: {', '.join(differing)}")
+
+
 def _load_data(config: WorkflowConfig) -> tuple[LabeledDataset, LabeledDataset]:
     full = generate_synthetic(config.dataset, config.dataset_size, seed=config.seed)
     return split(full, config.train_fraction, seed=config.seed)
@@ -295,10 +321,12 @@ def run(
             rng=rng,
         )
         optimizer = Optimizer(config.optimizer)
-        base_report = structure_measures(graph, coloring, None, shapes)
-        baseline = (base_report.total_params, base_report.total_flops)
+        baseline = coloring.costs.totals
     else:
         ckpt = load_checkpoint(resume_from)
+        meta = ckpt.meta
+        start_step = int(meta["next_step"])
+        _check_resume_config(meta.get("config", {}), config, start_step)
         graph = ckpt.graph
         weights = ckpt.weights
         gates = ckpt.gates
@@ -309,8 +337,6 @@ def run(
             optimizer.load_state_dict(ckpt.opt_state)
         if ckpt.rng_state is not None:
             rng.bit_generator.state = ckpt.rng_state
-        meta = ckpt.meta
-        start_step = int(meta["next_step"])
         global_epoch = int(meta["global_epoch"])
         baseline = (float(meta["baseline"][0]), float(meta["baseline"][1]))
         resolved_mu = meta.get("resolved_mu")
@@ -428,7 +454,7 @@ def run(
                     "resolved_mu": resolved_mu,
                     "resolved_lam": resolved_lam,
                     "scores": [[s, v] for s, v in scores],
-                    "config": json.loads(json.dumps(config.to_dict(), default=str)),
+                    "config": _config_record(config),
                 },
             )
 

@@ -188,6 +188,12 @@ def random_graph(
     return graph, entry_shape
 
 
+def producer_group(coloring: Coloring, node_id: str) -> int:
+    """Group id of the channels a Convolution/FullyConnected produces."""
+    (segment,) = coloring.node_segments[node_id]
+    return segment.group
+
+
 def random_gates(
     coloring: Coloring,
     rng: np.random.Generator,

@@ -4,11 +4,15 @@ import copy
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from prunekit import graphio
+from prunekit.accounting import structure_measures
 from prunekit.engine import forward, init_weights
-from prunekit.pruner import fold_gates
-from prunekit.relax import gate_scales
+from prunekit.graph import TensorShape, infer_shapes
+from prunekit.pruner import fold_gates, rewrite
+from prunekit.relax import MaskSet, gate_scales
+from prunekit.subgraph import identify_subgraphs
 
-from gen import gated_setups, random_gates
+from gen import gated_setups, random_gates, random_masks
 
 # Derandomized with no example database, so runs are repeatable and write no
 # files; the examples are cheap graphs of at most eight operators.
@@ -24,6 +28,14 @@ def gated_case(seed):
     gates = random_gates(col, rng, dtype=np.float64)
     x = rng.normal(0, 1, entry.dims())
     return graph, col, weights, gates, x
+
+
+def rewritten_case(seed):
+    """``gated_case`` rewritten at random keep-masks, and its input batch."""
+    graph, col, weights, gates, x = gated_case(seed)
+    shapes = infer_shapes(graph, TensorShape(x.shape[0], x.shape[1], x.shape[2:]))
+    masks = MaskSet(random_masks(col, np.random.default_rng(seed + 1)), threshold=0.5)
+    return rewrite(graph, col, weights, gates, masks, shapes), x
 
 
 def backward_capturing(run, output_grad):
@@ -77,3 +89,51 @@ def test_unit_scales_change_nothing_and_return_channel_sums(seed, training):
         gy, pre = seen[nid], scaled.acts[nid]
         direct = [np.sum(gy[:, c] * pre[:, c], dtype=np.float64) for c in range(pre.shape[1])]
         np.testing.assert_allclose(grads[("n", nid)], direct, rtol=1e-12, atol=1e-12)
+
+
+def report_text(graph, coloring, gates, shapes):
+    return structure_measures(graph, coloring, gates, shapes).to_text()
+
+
+@PROPERTY
+@given(seed=st.integers(0, 5000))
+def test_all_on_rewrite_of_a_rewritten_graph_is_the_identity(seed):
+    first, _ = rewritten_case(seed)
+    all_on = MaskSet(
+        {gid: np.ones(s.size, dtype=np.int8) for gid, s in first.gates.values.items()},
+        threshold=0.5,
+    )
+    again = rewrite(first.graph, first.coloring, first.weights, first.gates, all_on, first.shapes)
+    assert graphio.serialize(again.graph) == graphio.serialize(first.graph)
+    assert again.report.removed_nodes == ()
+    assert set(again.weights) == set(first.weights)
+    for nid, arrays in first.weights.items():
+        assert set(again.weights[nid]) == set(arrays)
+        for name, arr in arrays.items():
+            assert np.array_equal(again.weights[nid][name], arr), (nid, name)
+    assert set(again.gates.values) == set(first.gates.values)
+    for gid, s in first.gates.values.items():
+        assert np.array_equal(again.gates.values[gid], s)
+    before = structure_measures(first.graph, first.coloring, None, first.shapes)
+    after = structure_measures(again.graph, again.coloring, None, again.shapes)
+    assert (after.total_params, after.total_flops) == (before.total_params, before.total_flops)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 5000), training=st.booleans())
+def test_rewritten_graph_survives_serialization(seed, training):
+    result, x = rewritten_case(seed)
+    restored = graphio.deserialize(graphio.serialize(result.graph))
+    shapes = infer_shapes(restored, result.shapes[restored.entry])
+    col = identify_subgraphs(restored, shapes)
+
+    def output(graph, coloring):
+        return forward(
+            graph, copy.deepcopy(result.weights), x,
+            node_scales=gate_scales(coloring, result.gates, x.dtype), training=training,
+        ).output
+
+    assert np.array_equal(output(restored, col), output(result.graph, result.coloring))
+    assert report_text(restored, col, result.gates, shapes) == report_text(
+        result.graph, result.coloring, result.gates, result.shapes
+    )

@@ -30,7 +30,7 @@ from prunekit.pruner import (
 from prunekit.relax import GateSet, MaskSet, gate_scales, init_gates, sigma
 from prunekit.subgraph import identify_subgraphs
 
-from gen import gated_setups, random_gates, random_masks
+from gen import gated_setups, producer_group, random_gates, random_masks
 from oracles import brute_force_counts, kept_from_masks
 
 
@@ -92,14 +92,14 @@ class TestAliveChannels:
             masks={g.id: np.ones(g.width, dtype=np.int8) for g in col.prunable_groups()},
             threshold=0.5,
         )
-        trunk = col.producer_group("stem.conv")
+        trunk = producer_group(col, "stem.conv")
         masks.masks[trunk][:4] = 0
         alive = alive_channels(graph, col, masks)
         np.testing.assert_array_equal(alive["stem.conv"][:4], 0)
         np.testing.assert_array_equal(alive["stem.conv"][4:], 1)
         # the per-block first conv keeps its own mask but sees dead inputs only
         # through weights, so its alive flags match its own mask
-        np.testing.assert_array_equal(alive["b1.conv1"], masks.masks[col.producer_group("b1.conv1")])
+        np.testing.assert_array_equal(alive["b1.conv1"], masks.masks[producer_group(col, "b1.conv1")])
 
 
 class TestRewrite:
@@ -142,7 +142,7 @@ class TestRewrite:
 
     def test_kernel_slices_carried(self):
         graph, shapes, col, masks, result, _ = self.run_case(1)
-        trunk = col.producer_group("stem.conv")
+        trunk = producer_group(col, "stem.conv")
         kept = np.flatnonzero(masks.masks[trunk])
         old = None
         for nid in graph.nodes:
@@ -159,7 +159,7 @@ class TestRewrite:
             masks={g.id: np.ones(g.width, dtype=np.int8) for g in col.prunable_groups()},
             threshold=0.5,
         )
-        inner = col.producer_group("b1.conv1")
+        inner = producer_group(col, "b1.conv1")
         masks.masks[inner][:] = 0
         result = rewrite(graph, col, weights, gates, masks, shapes)
         removed = set(result.report.removed_nodes)
@@ -219,7 +219,7 @@ class TestMaskedScales:
         graph, entry, shapes, col, weights, gates = model_setup()
         masks = threshold_masks(gates, 0.5)
         scales = masked_scales(graph, col, gates, masks)
-        trunk = col.producer_group("stem.conv")
+        trunk = producer_group(col, "stem.conv")
         gains = gates.gains(trunk)
         mask = masks.masks[trunk]
         np.testing.assert_allclose(scales["stem.conv"], gains * mask, rtol=1e-6)
@@ -230,7 +230,7 @@ class TestMaskedScales:
             masks={g.id: np.ones(g.width, dtype=np.int8) for g in col.prunable_groups()},
             threshold=0.0,
         )
-        gid = col.producer_group("b2.conv1")
+        gid = producer_group(col, "b2.conv1")
         masks.masks[gid][0] = 0
         scales = masked_scales(graph, col, None, masks)
         np.testing.assert_array_equal(
@@ -272,7 +272,7 @@ class TestFolding:
         )
         entry = TensorShape(3, 3, (4, 4))
         col = identify_subgraphs(graph, infer_shapes(graph, entry))
-        gid = col.producer_group("fc1")
+        gid = producer_group(col, "fc1")
         assert gid in {g.id for g in col.prunable_groups()}
         rng = np.random.default_rng(0)
         weights = init_weights(graph, infer_shapes(graph, entry), rng, dtype=np.float64)
@@ -291,7 +291,7 @@ class TestFolding:
 
     def test_group_without_producer_rejected(self):
         graph, entry, shapes, col, weights, gates = model_setup()
-        gid = col.producer_group("b2.conv1")
+        gid = producer_group(col, "b2.conv1")
         group = col.group(gid)
         stripped = dataclasses.replace(
             group, members=tuple(m for m in group.members if m.node != "b2.conv1")

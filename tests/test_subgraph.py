@@ -1,6 +1,7 @@
 """Channel grouping: merges across joins, concat segments, prunability."""
 import pytest
 
+from prunekit.accounting import channel_totals, structure_measures
 from prunekit.errors import InconsistentWidths
 from prunekit.graph import (
     Graph,
@@ -18,11 +19,10 @@ from prunekit.subgraph import (
     ROLE_CONV_OUT,
     ROLE_FC_IN,
     ROLE_FC_OUT,
-    group_cost_footprint,
     identify_subgraphs,
 )
 
-from gen import grouped_setup
+from gen import grouped_setup, producer_group
 
 
 def build(nodes, edges, entry="in", exit="out"):
@@ -53,12 +53,12 @@ class TestChains:
         )
         shapes, col = colored(g, TensorShape(2, 3, (8, 8)))
 
-        inner = col.group(col.producer_group("c1"))
+        inner = col.group(producer_group(col, "c1"))
         assert inner.width == 4
         assert inner.prunable
         assert member_set(inner) == [("bn", ROLE_BN), ("c1", ROLE_CONV_OUT), ("c2", ROLE_CONV_IN)]
 
-        head = col.group(col.producer_group("c2"))
+        head = col.group(producer_group(col, "c2"))
         assert head.width == 5
         assert not head.prunable  # feeds the network output
 
@@ -78,10 +78,10 @@ class TestChains:
             [("in", "c", 0), ("c", "pool", 0), ("pool", "head", 0), ("head", "out", 0)],
         )
         shapes, col = colored(g, TensorShape(2, 3, (8, 8)))
-        conv_group = col.group(col.producer_group("c"))
+        conv_group = col.group(producer_group(col, "c"))
         assert conv_group.prunable
         assert ("head", ROLE_FC_IN) in member_set(conv_group)
-        head_group = col.group(col.producer_group("head"))
+        head_group = col.group(producer_group(col, "head"))
         assert member_set(head_group) == [("head", ROLE_FC_OUT)]
         assert not head_group.prunable
 
@@ -115,8 +115,8 @@ class TestJoins:
     def test_sum_merges_producer_groups(self):
         g = self._skip_block()
         shapes, col = colored(g, TensorShape(2, 3, (8, 8)))
-        assert col.producer_group("c1") == col.producer_group("c2")
-        merged = col.group(col.producer_group("c1"))
+        assert producer_group(col, "c1") == producer_group(col, "c2")
+        merged = col.group(producer_group(col, "c1"))
         assert merged.prunable
         assert ("c1", ROLE_CONV_OUT) in member_set(merged)
         assert ("c2", ROLE_CONV_OUT) in member_set(merged)
@@ -128,7 +128,7 @@ class TestJoins:
         nodes["add"] = simple_node("add", OpKind.PRODUCT)
         g2 = Graph(nodes=nodes, edges=g.edges, entry="in", exit="out")
         shapes, col = colored(g2, TensorShape(2, 3, (8, 8)))
-        assert col.producer_group("c1") == col.producer_group("c2")
+        assert producer_group(col, "c1") == producer_group(col, "c2")
 
     def test_sum_with_misaligned_segments_rejected(self):
         # concat(2+2) summed with a plain 4-wide tensor: widths agree but the
@@ -180,13 +180,13 @@ class TestJoins:
         shapes, col = colored(g, TensorShape(2, 3, (8, 8)))
         segs = col.node_segments["cat"]
         assert [s.width for s in segs] == [2, 3]
-        assert segs[0].group == col.producer_group("a")
-        assert segs[1].group == col.producer_group("b")
-        group_b = col.group(col.producer_group("b"))
+        assert segs[0].group == producer_group(col, "a")
+        assert segs[1].group == producer_group(col, "b")
+        group_b = col.group(producer_group(col, "b"))
         offsets = {(m.node, m.role): m.offset for m in group_b.members}
         assert offsets[("c", ROLE_CONV_IN)] == 2  # sits after a's channels
-        assert col.group(col.producer_group("a")).prunable
-        assert col.group(col.producer_group("b")).prunable
+        assert col.group(producer_group(col, "a")).prunable
+        assert col.group(producer_group(col, "b")).prunable
 
 
 class TestPrunability:
@@ -202,7 +202,7 @@ class TestPrunability:
             [("in", "c1", 0), ("c1", "mystery", 0), ("mystery", "c2", 0), ("c2", "out", 0)],
         )
         shapes, col = colored(g, TensorShape(2, 3, (8, 8)))
-        assert not col.group(col.producer_group("c1")).prunable
+        assert not col.group(producer_group(col, "c1")).prunable
 
     def test_every_channel_covered_once(self):
         """Segments of every node tile its channel dimension exactly."""
@@ -213,12 +213,17 @@ class TestPrunability:
                 for s in segs:
                     assert col.group(s.group).width == s.width
 
-    def test_assignment_matches_producer_segments(self):
+    def test_cost_table_widths_match_shapes(self):
+        """At full group widths the cost table's input and output widths of
+        every node are its first input's and its own channel counts."""
         for seed in range(10):
-            graph, entry_shape, shapes, col = grouped_setup(seed)
-            for edge in graph.edges:
-                src = edge[0]
-                assert col.assignment[edge] == col.node_segments[src]
+            graph, entry_shape, shapes, col = grouped_setup(seed, allow_unknown=(seed % 5 == 0))
+            full = channel_totals(col, None)
+            assert col.costs.nodes == graph.topo_order()
+            for i, nid in enumerate(col.costs.nodes):
+                ins = graph.inputs(nid)
+                assert col.costs.u[i] @ full == (shapes[ins[0]].channels if ins else 0)
+                assert col.costs.v[i] @ full == shapes[nid].channels
 
 
 class TestReferenceModels:
@@ -229,7 +234,7 @@ class TestReferenceModels:
         assert len(col.prunable_groups()) == 4
         # The residual trunk ties the stem and every block's second conv
         # together with the classifier input.
-        trunk = col.group(col.producer_group("stem.conv"))
+        trunk = col.group(producer_group(col, "stem.conv"))
         assert trunk.prunable and trunk.width == 16
         trunk_members = member_set(trunk)
         for expected in [
@@ -243,9 +248,9 @@ class TestReferenceModels:
         ]:
             assert expected in trunk_members
         # Block-internal groups stay independent.
-        inner = {col.producer_group(f"b{i}.conv1") for i in (1, 2, 3)}
+        inner = {producer_group(col, f"b{i}.conv1") for i in (1, 2, 3)}
         assert len(inner) == 3
-        head = col.group(col.producer_group("head"))
+        head = col.group(producer_group(col, "head"))
         assert not head.prunable and head.width == 4
 
     def test_unet_small_structure(self):
@@ -264,11 +269,21 @@ class TestReferenceModels:
     def test_footprint_covers_prunable_groups(self):
         g = build_reference_model("resnet8")
         shapes, col = colored(g, TensorShape(1, 3, (32, 32)))
-        footprint = group_cost_footprint(col, g, shapes)
+        full = structure_measures(g, col, None, shapes)
+        footprint = {}
+        for group in col.prunable_groups():
+            # The cost a group adds when switched fully on, all else on.
+            widths = channel_totals(col, None)
+            widths[group.id] = 0.0
+            off = structure_measures(g, col, None, shapes, channel_sums=widths)
+            footprint[group.id] = (
+                full.total_params - off.relaxed_params,
+                full.total_flops - off.relaxed_flops,
+            )
         assert set(footprint) == {gr.id for gr in col.prunable_groups()}
         assert all(p > 0 and f > 0 for p, f in footprint.values())
         # The trunk appears in more operators than a block-internal group,
         # so switching it off must be worth more parameters.
-        trunk = col.producer_group("stem.conv")
-        inner = col.producer_group("b1.conv1")
+        trunk = producer_group(col, "stem.conv")
+        inner = producer_group(col, "b1.conv1")
         assert footprint[trunk][0] > footprint[inner][0]

@@ -12,7 +12,7 @@ from prunekit.accounting import structure_measures
 from prunekit.cli import main as cli_main
 from prunekit.data import BLOBS, SHAPES, generate_synthetic, split
 from prunekit.engine import forward
-from prunekit.errors import InvalidConfig, RewriteMismatch
+from prunekit.errors import InvalidConfig, ResumeMismatch, RewriteMismatch
 from prunekit.graph import TensorShape, infer_shapes, validate
 from prunekit.objective import ObjectiveConfig, confusion_counts, mean_iou
 from prunekit.optim import OptimConfig, load_checkpoint, save_checkpoint
@@ -418,6 +418,32 @@ def test_resume_from_earlier_checkpoint_does_not_duplicate_metrics(tmp_path):
     # and 2; their rows replace the ones written before, not follow them.
     run(config, train_set, test_set, resume_from=tmp_path / "step_00.npz")
     assert read_rows_without_timing(tmp_path / "metrics.csv") == uninterrupted
+
+
+def test_resume_refuses_a_changed_config(tmp_path):
+    steps = [StepSpec(prune=False, epochs=1), StepSpec(prune=True, threshold=0.73, epochs=1)]
+    config = mini_config(tmp_path / "run", steps=steps[:1])
+    train_set, test_set = mini_data(config)
+    run(config, train_set, test_set)
+    checkpoint = tmp_path / "run" / "step_00.npz"
+    written = (tmp_path / "run" / "metrics.csv").read_text()
+
+    for change, key in [
+        ({"seed": 4}, "seed"),
+        ({"objective": ObjectiveConfig(mode="flops", target=0.4)}, r"objective\.target"),
+        ({"steps": [StepSpec(prune=False, epochs=2), steps[1]]}, r"steps\.0\.epochs"),
+    ]:
+        changed = mini_config(tmp_path / "run", **{"steps": steps, **change})
+        with pytest.raises(ResumeMismatch, match=f"in: {key}$"):
+            run(changed, train_set, test_set, resume_from=checkpoint)
+        assert (tmp_path / "run" / "metrics.csv").read_text() == written
+
+    # Another output directory and steps added after the checkpoint's are fine.
+    resumed = run(
+        mini_config(tmp_path / "elsewhere", steps=steps), train_set, test_set,
+        resume_from=checkpoint,
+    )
+    assert [step for step, _ in resumed.scores] == [0, 1]
 
 
 @pytest.mark.parametrize("shift", [1.0, np.nan])
