@@ -2,17 +2,17 @@
 
 Costs are evaluated from *effective* channel counts: with gates attached,
 every channel contributes its gain ``sigma(s)`` instead of 1, so each group's
-effective width is the sum of its gains. Every operator's cost is a
-polynomial of degree at most two in those widths: with ``c_in`` and ``c_out``
-its input and output widths, it has ``p2*c_in*c_out + p1*c_out`` parameters
-and ``q2*c_in*c_out + q1*c_out`` multiply-accumulates, with the per-kind
-coefficients of :func:`prunekit.subgraph.cost_coefficients`.
+width is the sum of its gains (:func:`prunekit.relax.channel_totals`). Every
+operator's cost is a polynomial of degree at most two in those widths: with
+``c_in`` and ``c_out`` its input and output widths, it has
+``p2*c_in*c_out + p1*c_out`` parameters and ``q2*c_in*c_out + q1*c_out``
+multiply-accumulates, with the per-kind coefficients of
+:func:`prunekit.subgraph.cost_coefficients`.
 :func:`~prunekit.subgraph.identify_subgraphs` compiles them once per graph
 into the coloring's :class:`~prunekit.subgraph.CostTable`, together with the
-fully-on totals. The value (:func:`structure_measures`) and the exact
-gradient with respect to the gate scores (:func:`structure_grads`) are a few
-array operations over that one table, which is what lets a training loss
-target a FLOP or sparsity budget directly.
+fully-on totals. The value (:func:`structure_measures`) and its exact
+gradient with respect to the widths (:func:`structure_grads`) are a few
+array operations over that one table; this module knows nothing of gates.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ZeroTotal
 from .graph import Graph, OpKind, TensorShape
-from .relax import GateSet, sigma, sigma_grad
 from .subgraph import Coloring, cost_coefficients
 
 # Parameter counts do not depend on tensor shapes.
@@ -66,18 +65,6 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def channel_totals(coloring: Coloring, gates: GateSet | None) -> np.ndarray:
-    """Effective width per group, indexed by group id: sum of gains for gated
-    groups, full width for non-prunable ones (and for all groups when
-    ``gates`` is None)."""
-    return np.array([
-        float(np.sum(sigma(gates.values[g.id], gates.steepness)))
-        if gates is not None and g.id in gates.values
-        else float(g.width)
-        for g in coloring.groups
-    ])
-
-
 def op_params(node_kind: OpKind, c_in: float, c_out: float, kernel_size: int = 1) -> float:
     (p2, _), (p1, _) = cost_coefficients(node_kind, kernel_size, _ANY_SHAPE, _ANY_SHAPE)
     return c_in * c_out * p2 + c_out * p1
@@ -105,22 +92,20 @@ def _totals(coloring: Coloring, baseline: tuple[float, float] | None) -> tuple[f
 def structure_measures(
     graph: Graph,
     coloring: Coloring,
-    gates: GateSet | None,
+    widths: np.ndarray | None,
     shapes: dict[str, TensorShape],
     baseline: tuple[float, float] | None = None,
-    channel_sums: np.ndarray | None = None,
 ) -> CostReport:
     """Evaluate the cost model of ``graph`` at ``shapes``, as compiled into
-    ``coloring.costs``.
+    ``coloring.costs``, at the effective group ``widths`` (indexed by group
+    id; None means every channel on).
 
     ``baseline`` optionally overrides the fully-on denominators; a workflow
     that physically rewrites its graph passes the original model's totals so
     ``sigma_p`` / ``sigma_q`` keep measuring "fraction of the original cost".
-    ``channel_sums`` overrides the per-group effective widths directly, as
-    :func:`channel_totals` lays them out (used for footprint/what-if
-    queries); it wins over ``gates``.
     """
-    widths = channel_totals(coloring, gates) if channel_sums is None else channel_sums
+    if widths is None:
+        widths = [g.width for g in coloring.groups]
     params, flops = coloring.costs.at(np.asarray(widths, dtype=np.float64))
     total_p, total_q = _totals(coloring, baseline)
     relaxed_p, relaxed_q = float(params.sum()), float(flops.sum())
@@ -147,15 +132,9 @@ def structure_partials(coloring: Coloring, widths: np.ndarray) -> np.ndarray:
 
 
 def structure_grads(
-    graph: Graph,
-    coloring: Coloring,
-    gates: GateSet,
-    shapes: dict[str, TensorShape],
-    baseline: tuple[float, float] | None = None,
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Exact per-channel gradients ``(d sigma_p / d s, d sigma_q / d s)``."""
+    coloring: Coloring, widths: np.ndarray, baseline: tuple[float, float] | None = None
+) -> np.ndarray:
+    """Exact gradients of the relative measures w.r.t. each group's effective
+    width: rows ``d sigma_p / dc`` and ``d sigma_q / dc``, indexed by group id."""
     total_p, total_q = _totals(coloring, baseline)
-    d_p, d_q = structure_partials(coloring, channel_totals(coloring, gates)) / [[total_p], [total_q]]
-    # d(effective width)/d(score), per channel
-    dc = {gid: sigma_grad(s, gates.steepness) for gid, s in gates.values.items()}
-    return {gid: g * d_p[gid] for gid, g in dc.items()}, {gid: g * d_q[gid] for gid, g in dc.items()}
+    return structure_partials(coloring, widths) / [[total_p], [total_q]]

@@ -17,7 +17,7 @@ from .graph import TensorShape, infer_shapes, validate
 from .graphio import serialize
 from .models import build_reference_model
 from .optim import load_checkpoint
-from .relax import export_snapshot
+from .relax import channel_totals, export_snapshot, snapshot
 from .subgraph import identify_subgraphs
 from .workflow import WorkflowConfig, evaluate, run
 
@@ -66,7 +66,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         entry = TensorShape(1, dims[0], tuple(dims[1:]))
     shapes = infer_shapes(ckpt.graph, entry)
     coloring = identify_subgraphs(ckpt.graph, shapes)
-    report = structure_measures(ckpt.graph, coloring, ckpt.gates, shapes)
+    widths = channel_totals(coloring, snapshot(ckpt.gates)) if ckpt.gates is not None else None
+    report = structure_measures(ckpt.graph, coloring, widths, shapes)
     print(report.to_text(), end="")
     return 0
 

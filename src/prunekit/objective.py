@@ -6,9 +6,10 @@ The full objective is
 
 where ``ratio`` is the relaxed parameter or compute fraction of the original
 model (picked by ``mode``) and ``polarization`` is the Gaussian stiffening
-penalty on the gate scores. The architecture terms are closed-form functions
-of the gate scores, so their gradients come from the cost model analytically
-and are simply added to the backpropagated task gradients.
+penalty on the gate scores. :func:`total_loss` evaluates the gains once and
+shares them between the forward pass and the architecture terms, which are
+closed-form functions of the gains: their score gradients (cost-model width
+gradients times each gain's slope) are added to the backpropagated ones.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .errors import (
     ScheduleUnresolved,
 )
 from .graph import Graph, TensorShape
-from .relax import GateSet, gate_scales, score_grads, stiffening, stiffening_grad
+from .relax import GateSet, channel_totals, gate_scales, score_grads, slope, snapshot, stiffening
 from .subgraph import Coloring
 
 MODE_SPARSITY = "sparsity"  # drive the parameter fraction toward the target
@@ -143,12 +144,14 @@ def architecture_terms(
     graph: Graph,
     coloring: Coloring,
     gates: GateSet,
+    gains: dict[int, np.ndarray],
     shapes: dict[str, TensorShape],
     objective: ObjectiveConfig,
     step: int,
     baseline: tuple[float, float] | None = None,
 ) -> tuple[float, float, float, float, float, dict[ParamKey, np.ndarray]]:
-    """Evaluate the pressure and stiffening terms and their score gradients.
+    """Evaluate the pressure and stiffening terms and their score gradients
+    at the ``gains`` :func:`~prunekit.relax.snapshot` took of ``gates``.
 
     Returns ``(pressure, stiff, ratio, sigma_p, sigma_q, grads)`` where
     ``grads`` maps ``("s", gid)`` keys to gradient arrays. At exact target
@@ -156,25 +159,24 @@ def architecture_terms(
     """
     mu = resolve_schedule(objective.mu, step)
     lam = resolve_schedule(objective.lam, step)
-    report = structure_measures(graph, coloring, gates, shapes, baseline=baseline)
+    widths = channel_totals(coloring, gains)
+    report = structure_measures(graph, coloring, widths, shapes, baseline=baseline)
     ratio = report.sigma_p if objective.mode == MODE_SPARSITY else report.sigma_q
     pressure = mu * abs(ratio - objective.target)
-    stiff_value = stiffening(gates)
+    stiff_value, stiff_grads = stiffening(gates)
     stiff = lam * stiff_value
 
     grads: dict[ParamKey, np.ndarray] = {}
-    if mu != 0.0:
-        gp, gq = structure_grads(graph, coloring, gates, shapes, baseline=baseline)
-        chosen = gp if objective.mode == MODE_SPARSITY else gq
-        sign = float(np.sign(ratio - objective.target))
-        if sign != 0.0:
-            for gid, arr in chosen.items():
-                grads[("s", gid)] = (mu * sign) * arr
+    sign = float(np.sign(ratio - objective.target))
+    if mu != 0.0 and sign != 0.0:
+        d_p, d_q = structure_grads(coloring, widths, baseline=baseline)
+        row = d_p if objective.mode == MODE_SPARSITY else d_q
+        for gid, g in gains.items():
+            grads[("s", gid)] = (mu * sign) * (slope(g, gates.steepness) * row[gid])
     if lam != 0.0:
-        for gid, arr in stiffening_grad(gates).items():
+        for gid, arr in stiff_grads.items():
             key = ("s", gid)
-            term = lam * arr
-            grads[key] = grads[key] + term if key in grads else term
+            grads[key] = grads[key] + lam * arr if key in grads else lam * arr
     return pressure, stiff, ratio, report.sigma_p, report.sigma_q, grads
 
 
@@ -198,13 +200,14 @@ def total_loss(
     tape plus the analytic architecture gradients on the gate scores), and
     the underlying run.
     """
-    scales = gate_scales(coloring, gates, np.asarray(x).dtype)
+    gains = snapshot(gates)
+    scales = gate_scales(coloring, gains, np.asarray(x).dtype)
     run = forward(graph, weights, x, node_scales=scales, training=training)
     task, dlogits = cross_entropy(run.output, labels)
-    grads = score_grads(coloring, gates, run.backward(dlogits))
+    grads = score_grads(coloring, gates, gains, run.backward(dlogits))
 
     pressure, stiff, ratio, sigma_p, sigma_q, arch_grads = architecture_terms(
-        graph, coloring, gates, shapes, objective, step, baseline=baseline
+        graph, coloring, gates, gains, shapes, objective, step, baseline=baseline
     )
     for key, g in arch_grads.items():
         grads[key] = grads[key] + g if key in grads else g

@@ -223,27 +223,30 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
 
-    graph = deserialize(header["graph"])
+    try:
+        graph = deserialize(header["graph"])
 
-    weights: Weights = {}
-    for i, (nid, name) in enumerate(header["w_index"]):
-        weights.setdefault(nid, {})[name] = arrays[f"w{i:05d}"]
+        weights: Weights = {}
+        for i, (nid, name) in enumerate(header["w_index"]):
+            weights.setdefault(nid, {})[name] = arrays[f"w{i:05d}"]
 
-    gates = None
-    if "g_index" in header:
-        values = {int(gid): arrays[f"g{i:05d}"] for i, gid in enumerate(header["g_index"])}
-        gates = GateSet(
-            values=values,
-            steepness=header["gates"]["steepness"],
-            stiffening_sd=header["gates"]["stiffening_sd"],
-        )
+        gates = None
+        if "g_index" in header:
+            values = {int(gid): arrays[f"g{i:05d}"] for i, gid in enumerate(header["g_index"])}
+            gates = GateSet(
+                values=values,
+                steepness=header["gates"]["steepness"],
+                stiffening_sd=header["gates"]["stiffening_sd"],
+            )
 
-    opt_state = None
-    if "o_index" in header:
-        slots: dict[ParamKey, dict[str, np.ndarray]] = {}
-        for i, (enc, slot_name) in enumerate(header["o_index"]):
-            slots.setdefault(_decode_key(enc), {})[slot_name] = arrays[f"o{i:05d}"]
-        opt_state = {"t": header["opt_t"], "slots": slots, "config": header.get("opt_config")}
+        opt_state = None
+        if "o_index" in header:
+            slots: dict[ParamKey, dict[str, np.ndarray]] = {}
+            for i, (enc, slot_name) in enumerate(header["o_index"]):
+                slots.setdefault(_decode_key(enc), {})[slot_name] = arrays[f"o{i:05d}"]
+            opt_state = {"t": header["opt_t"], "slots": slots, "config": header.get("opt_config")}
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {path} lacks {exc}") from exc
 
     return Checkpoint(
         graph=graph,

@@ -30,7 +30,7 @@ from .errors import (
     ShapeDrift,
 )
 from .graph import Graph, OpKind, OperatorNode, TensorShape, infer_shapes
-from .relax import GateSet, MaskSet, gate_scales, gate_sites, sigma
+from .relax import GateSet, MaskSet, gate_scales, gate_sites, sigma, snapshot
 from .subgraph import (
     ROLE_BN,
     ROLE_CONV_OUT,
@@ -126,7 +126,7 @@ def masked_scales(
     so no shift term survives on a structurally dead channel.
     """
     alive = alive_channels(graph, coloring, masks)
-    gains = gate_scales(coloring, gates, np.float64) if gates is not None else {}
+    gains = gate_scales(coloring, snapshot(gates), np.float64) if gates is not None else {}
     scales: dict[str, np.ndarray] = {}
     for nid, flags in alive.items():
         if nid in gains:
@@ -346,7 +346,7 @@ def rewrite(
     # Integer structure counts at the binary masks (old graph, effective
     # widths) and of the rewritten graph.
     sums = [len(keep[g.id]) for g in coloring.groups]
-    before = structure_measures(graph, coloring, None, shapes, channel_sums=sums)
+    before = structure_measures(graph, coloring, sums, shapes)
     after = structure_measures(new_graph, new_coloring, None, new_shapes)
 
     report = PruneReport(
@@ -394,7 +394,7 @@ def verify_equivalence(
     rng = np.random.default_rng(seed)
     scales = masked_scales(graph, coloring, gates, masks)
     new_scales = (
-        gate_scales(result.coloring, result.gates, np.float32)
+        gate_scales(result.coloring, snapshot(result.gates), np.float32)
         if result.gates is not None else None
     )
     worst = 0.0

@@ -7,6 +7,9 @@ masks when pruning, and a Gaussian "stiffening" penalty pushes scores away
 from the undecided region around zero so that thresholding changes the
 network as little as possible.
 
+A training step evaluates the gains once (:func:`snapshot`); the forward
+scales, the score chain rule and the group widths all read that one dict.
+
 Gate sites: a group's gains multiply the output of each of its producing
 operators (convolution and fully-connected outputs), applied through
 ``engine.forward``'s ``node_scales``. :func:`gate_sites` is the one place
@@ -39,9 +42,9 @@ def sigma(s: np.ndarray | float, steepness: float = DEFAULT_STEEPNESS) -> np.nda
     return out
 
 
-def sigma_grad(s: np.ndarray | float, steepness: float = DEFAULT_STEEPNESS) -> np.ndarray:
-    """Derivative of :func:`sigma` with respect to ``s``."""
-    g = sigma(s, steepness)
+def slope(g: np.ndarray | float, steepness: float) -> np.ndarray:
+    """Derivative of :func:`sigma` with respect to the score, given the gain
+    ``g = sigma(s)`` it was evaluated at."""
     return steepness * g * (1.0 - g)
 
 
@@ -62,9 +65,6 @@ class GateSet:
             raise InvalidConfig(f"steepness must be positive, got {self.steepness}")
         if self.stiffening_sd <= 0:
             raise InvalidConfig(f"stiffening_sd must be positive, got {self.stiffening_sd}")
-
-    def gains(self, group_id: int) -> np.ndarray:
-        return sigma(self.values[group_id], self.steepness)
 
     def total_size(self) -> int:
         return sum(v.size for v in self.values.values())
@@ -126,15 +126,16 @@ def gate_sites(coloring: Coloring) -> dict[str, int]:
     }
 
 
-def gate_scales(coloring: Coloring, gates: GateSet, dtype) -> dict[str, np.ndarray]:
-    """Current gains as ``engine.forward``'s ``node_scales``, in ``dtype``."""
-    gains = {gid: sigma(s, gates.steepness).astype(dtype) for gid, s in gates.values.items()}
-    return {nid: gains[gid] for nid, gid in gate_sites(coloring).items() if gid in gains}
+def gate_scales(coloring: Coloring, gains: dict[int, np.ndarray], dtype) -> dict[str, np.ndarray]:
+    """Per-group ``gains`` as ``engine.forward``'s ``node_scales``, in ``dtype``."""
+    cast = {gid: g.astype(dtype) for gid, g in gains.items()}
+    return {nid: cast[gid] for nid, gid in gate_sites(coloring).items() if gid in cast}
 
 
-def score_grads(coloring: Coloring, gates: GateSet, grads: dict) -> dict:
+def score_grads(coloring: Coloring, gates: GateSet, gains: dict, grads: dict) -> dict:
     """``grads`` with each gate site's ``("n", node)`` gradient replaced by
-    its share of the ``("s", group)`` score gradient.
+    its share of the ``("s", group)`` score gradient, at the ``gains``
+    :func:`snapshot` took of ``gates``.
 
     The shares are added in the order ``grads`` lists them, which for a
     backward pass is the reverse order of the tape.
@@ -143,15 +144,24 @@ def score_grads(coloring: Coloring, gates: GateSet, grads: dict) -> dict:
     out: dict = {}
     for key, g in grads.items():
         if key[0] == "n" and key[1] in sites:
-            s = gates.values[sites[key[1]]]
-            g = (sigma_grad(s, gates.steepness) * g).astype(s.dtype)
-            key = ("s", sites[key[1]])
+            gid = sites[key[1]]
+            g = (slope(gains[gid], gates.steepness) * g).astype(gates.values[gid].dtype)
+            key = ("s", gid)
         out[key] = out[key] + g if key in out else g
     return out
 
 
-def stiffening(gates: GateSet) -> float:
-    """Mean Gaussian bump over all gate scores: ``mean(exp(-s^2 / (2 sd^2)))``.
+def channel_totals(coloring: Coloring, gains: dict[int, np.ndarray]) -> np.ndarray:
+    """Effective width per group, indexed by group id: the sum of its gains
+    for gated groups, its full width for the rest."""
+    return np.array([
+        float(np.sum(gains[g.id])) if g.id in gains else float(g.width) for g in coloring.groups
+    ])
+
+
+def stiffening(gates: GateSet) -> tuple[float, dict[int, np.ndarray]]:
+    """Mean Gaussian bump over all gate scores, ``mean(exp(-s^2 / (2 sd^2)))``,
+    and its per-group gradient with respect to the scores.
 
     Maximal (1.0) when every score sits at zero, vanishing as scores
     polarise; adding it to a loss therefore pays for undecided gates. An
@@ -159,26 +169,16 @@ def stiffening(gates: GateSet) -> float:
     """
     n = gates.total_size()
     if n == 0:
-        return 0.0
-    sd2 = 2.0 * gates.stiffening_sd ** 2
-    total = 0.0
-    for s in gates.values.values():
-        x = np.asarray(s, dtype=np.float64)
-        total += float(np.sum(np.exp(-np.square(x) / sd2)))
-    return total / n
-
-
-def stiffening_grad(gates: GateSet) -> dict[int, np.ndarray]:
-    """Per-group gradient of :func:`stiffening` with respect to the scores."""
-    n = gates.total_size()
-    if n == 0:
-        return {}
+        return 0.0, {}
     sd2 = gates.stiffening_sd ** 2
-    out: dict[int, np.ndarray] = {}
+    total = 0.0
+    grads: dict[int, np.ndarray] = {}
     for gid, s in gates.values.items():
         x = np.asarray(s, dtype=np.float64)
-        out[gid] = np.exp(-np.square(x) / (2.0 * sd2)) * (-x / sd2) / n
-    return out
+        bump = np.exp(-np.square(x) / (2.0 * sd2))
+        total += float(np.sum(bump))
+        grads[gid] = bump * (-x / sd2) / n
+    return total / n, grads
 
 
 def snapshot(gates: GateSet) -> dict[int, np.ndarray]:
@@ -186,18 +186,10 @@ def snapshot(gates: GateSet) -> dict[int, np.ndarray]:
     return {gid: sigma(s, gates.steepness) for gid, s in gates.values.items()}
 
 
-def export_snapshot(gates: GateSet, extra: dict[int, dict[str, object]] | None = None) -> str:
-    """Render gains as structured text, one ``group`` record per line.
-
-    ``extra`` may add per-group fields (e.g. spatial resolution) emitted as
-    ``key=value`` tokens after the gains.
-    """
+def export_snapshot(gates: GateSet) -> str:
+    """Render gains as structured text, one ``group`` record per line."""
     lines = [f"# gate snapshot: steepness={gates.steepness!r} stiffening_sd={gates.stiffening_sd!r}"]
-    for gid in sorted(gates.values):
-        gains = sigma(gates.values[gid], gates.steepness)
-        fields = [f"group {gid}", f"width={gains.size}"]
-        for key, value in sorted((extra or {}).get(gid, {}).items()):
-            fields.append(f"{key}={value}")
-        fields.append("sigma=" + ",".join(f"{v:.6f}" for v in gains))
-        lines.append(" ".join(fields))
+    for gid, gains in sorted(snapshot(gates).items()):
+        values = ",".join(f"{v:.6f}" for v in gains)
+        lines.append(f"group {gid} width={gains.size} sigma={values}")
     return "\n".join(lines) + "\n"

@@ -41,7 +41,7 @@ from .models import build_reference_model
 from .objective import ObjectiveConfig, confusion_counts, mean_iou, total_loss
 from .optim import OptimConfig, Optimizer, load_checkpoint, save_checkpoint
 from .pruner import fold_gates, rewrite, threshold_masks, verify_equivalence
-from .relax import GateSet, export_snapshot, gate_scales, init_gates, snapshot
+from .relax import GateSet, channel_totals, export_snapshot, gate_scales, init_gates, snapshot
 from .subgraph import Coloring, identify_subgraphs
 
 DEFAULT_THRESHOLD_RAMP = (0.01, 0.1, 0.25, 0.4, 0.5)
@@ -142,20 +142,22 @@ class WorkflowConfig:
         raw = dict(raw)
         if "steps" in raw:
             raw["steps"] = [
-                s if isinstance(s, StepSpec) else StepSpec(**s) for s in raw["steps"]
+                s if isinstance(s, StepSpec) else _from_mapping(StepSpec, s, f"steps[{i}]")
+                for i, s in enumerate(raw["steps"])
             ]
         if "objective" in raw and not isinstance(raw["objective"], ObjectiveConfig):
             obj = dict(raw["objective"])
             for key in ("mu", "lam"):
                 if isinstance(obj.get(key), list):
-                    obj[key] = [(int(s), float(v)) for s, v in obj[key]]
-            raw["objective"] = ObjectiveConfig(**obj)
+                    try:
+                        obj[key] = [(int(s), float(v)) for s, v in obj[key]]
+                    except (TypeError, ValueError) as exc:
+                        raise InvalidConfig(f"objective.{key} must be a list of "
+                                            f"[step, value] pairs, got {obj[key]!r}") from exc
+            raw["objective"] = _from_mapping(ObjectiveConfig, obj, "objective")
         if "optimizer" in raw and not isinstance(raw["optimizer"], OptimConfig):
-            raw["optimizer"] = OptimConfig(**raw["optimizer"])
-        unknown = set(raw) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+            raw["optimizer"] = _from_mapping(OptimConfig, raw["optimizer"], "optimizer")
+        return _from_mapping(cls, raw, "config")
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "WorkflowConfig":
@@ -167,6 +169,16 @@ class WorkflowConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _from_mapping(cls, raw, where: str):
+    """``cls(**raw)``, naming ``where`` in the error for a key ``cls`` lacks."""
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{where} must be a mapping, got {raw!r}")
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
+    return cls(**raw)
 
 
 @dataclass
@@ -196,7 +208,7 @@ def evaluate(
     """Test score in evaluation mode: top-1 accuracy for classification,
     mean IoU (over classes that occur) for dense labels."""
     dense = dataset.dense
-    scales = gate_scales(coloring, gates, dataset.inputs.dtype) if gates is not None else None
+    scales = None if gates is None else gate_scales(coloring, snapshot(gates), dataset.inputs.dtype)
     inter = p_count = t_count = None
     hits = 0
     for bx, by in batches(dataset, batch_size, shuffle=False):
@@ -434,7 +446,8 @@ def run(
                 coloring=coloring, gates=gates, batch_size=max(config.batch_size, 128),
             )
             scores.append((step_index, score))
-            report = structure_measures(graph, coloring, gates, shapes, baseline=baseline)
+            widths = channel_totals(coloring, snapshot(gates)) if gates is not None else None
+            report = structure_measures(graph, coloring, widths, shapes, baseline=baseline)
             metrics.write(
                 step=step_index, epoch=global_epoch, iteration=0, phase="test",
                 sigma_p=f"{report.sigma_p:.6f}", sigma_q=f"{report.sigma_q:.6f}",
@@ -468,10 +481,7 @@ def run(
             meta={"folded": True, "baseline": list(baseline), "entry_shape": entry_dims},
         )
         if gates is not None and gates.values:
-            extras = {
-                gid: {"width": int(arr.size)} for gid, arr in snapshot(gates).items()
-            }
-            (out_dir / "gates_snapshot.txt").write_text(export_snapshot(gates, extras))
+            (out_dir / "gates_snapshot.txt").write_text(export_snapshot(gates))
 
     return WorkflowResult(
         graph=graph,

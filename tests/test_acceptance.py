@@ -55,7 +55,7 @@ from prunekit.pruner import (
     rewrite,
     verify_equivalence,
 )
-from prunekit.relax import GateSet, MaskSet
+from prunekit.relax import GateSet, MaskSet, channel_totals, snapshot
 from prunekit.subgraph import identify_subgraphs
 from prunekit.workflow import StepSpec, WorkflowConfig, ramp_steps, run
 
@@ -211,7 +211,8 @@ def test_criterion_2_binary_gate_accounting_is_exact():
             steepness=4.0,
             stiffening_sd=1.0,
         )
-        report = structure_measures(graph, coloring, gates, shapes)
+        widths = channel_totals(coloring, snapshot(gates))
+        report = structure_measures(graph, coloring, widths, shapes)
 
         kept_params, kept_flops = oracles.brute_force_counts(
             graph, shapes, oracles.kept_from_masks(coloring, masks)

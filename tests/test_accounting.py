@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from prunekit.accounting import (
-    channel_totals,
     op_flops,
     op_params,
     structure_grads,
@@ -19,11 +18,15 @@ from prunekit.graph import (
     simple_node,
 )
 from prunekit.models import build_reference_model
-from prunekit.relax import GateSet, init_gates
+from prunekit.relax import GateSet, channel_totals, init_gates, slope, snapshot
 from prunekit.subgraph import identify_subgraphs
 
 from gen import gated_setups, grouped_setup, random_gates, random_masks
 from oracles import brute_force_counts, full_widths, kept_from_masks, relative_error
+
+
+def widths(col, gates):
+    return channel_totals(col, snapshot(gates))
 
 
 def resnet8_setup(batch=1):
@@ -53,7 +56,7 @@ class TestFrozenValues:
     def test_half_gated_conv(self):
         g, shapes, col = resnet8_setup()
         gates = init_gates(col, initial_score=0.0)  # sigma = 0.5 everywhere
-        report = structure_measures(g, col, gates, shapes)
+        report = structure_measures(g, col, widths(col, gates), shapes)
         # stem conv input channels are the raw image (ungated), output halved
         assert report.per_op["stem.conv"].params == pytest.approx(216.0)  # 3 * 8 * 9
         assert report.per_op["stem.conv"].flops == pytest.approx(229376.0)  # 8*1024*28
@@ -67,8 +70,8 @@ class TestFrozenValues:
         g, shapes, col = resnet8_setup()
         nearly_off = init_gates(col, initial_score=-20.0)
         nearly_on = init_gates(col, initial_score=20.0)
-        lo = structure_measures(g, col, nearly_off, shapes)
-        hi = structure_measures(g, col, nearly_on, shapes)
+        lo = structure_measures(g, col, widths(col, nearly_off), shapes)
+        hi = structure_measures(g, col, widths(col, nearly_on), shapes)
         assert lo.relaxed_params < hi.relaxed_params
         assert lo.relaxed_flops < hi.relaxed_flops
         assert hi.sigma_p == pytest.approx(1.0, abs=1e-6)
@@ -132,7 +135,7 @@ class TestBruteForceParity:
                 values={gid: np.where(m > 0, 60.0, -60.0) for gid, m in masks.items()},
                 steepness=4.0,
             )
-            report = structure_measures(graph, col, gates, shapes)
+            report = structure_measures(graph, col, widths(col, gates), shapes)
             p, q = brute_force_counts(graph, shapes, kept_from_masks(col, masks))
             assert report.relaxed_params == p, f"seed {seed}: params {report.relaxed_params} != {p}"
             assert report.relaxed_flops == q, f"seed {seed}: flops {report.relaxed_flops} != {q}"
@@ -155,13 +158,16 @@ class TestGradients:
         rng = np.random.default_rng(5)
         for seed, graph, entry, shapes, col in gated_setups(10):
             gates = random_gates(col, rng, dtype=np.float64)
-            gp, gq = structure_grads(graph, col, gates, shapes)
+            d_p, d_q = structure_grads(col, widths(col, gates))
+            gains = snapshot(gates)
+            gp = {gid: slope(g, gates.steepness) * d_p[gid] for gid, g in gains.items()}
+            gq = {gid: slope(g, gates.steepness) * d_q[gid] for gid, g in gains.items()}
             h = 1e-6
             for gid in gates.values:
                 for i in range(gates.values[gid].size):
                     for which, grads in (("p", gp), ("q", gq)):
                         def measure():
-                            r = structure_measures(graph, col, gates, shapes)
+                            r = structure_measures(graph, col, widths(col, gates), shapes)
                             return r.sigma_p if which == "p" else r.sigma_q
                         keep = gates.values[gid][i]
                         gates.values[gid][i] = keep + h
@@ -176,20 +182,18 @@ class TestGradients:
     def test_grads_respect_baseline(self):
         seed, graph, entry, shapes, col = gated_setups(1, start_seed=4)[0]
         gates = random_gates(col, np.random.default_rng(0), dtype=np.float64)
-        report = structure_measures(graph, col, gates, shapes)
-        gp1, gq1 = structure_grads(graph, col, gates, shapes)
+        w = widths(col, gates)
+        report = structure_measures(graph, col, w, shapes)
+        rows = structure_grads(col, w)
         baseline = (report.total_params * 2, report.total_flops * 2)
-        gp2, gq2 = structure_grads(graph, col, gates, shapes, baseline=baseline)
-        for gid in gp1:
-            np.testing.assert_allclose(gp2[gid], gp1[gid] / 2, rtol=1e-12)
-            np.testing.assert_allclose(gq2[gid], gq1[gid] / 2, rtol=1e-12)
+        np.testing.assert_allclose(structure_grads(col, w, baseline=baseline), rows / 2, rtol=1e-12)
 
 
 class TestChannelTotals:
     def test_gated_groups_sum_gains(self):
         g, shapes, col = resnet8_setup()
         gates = init_gates(col, initial_score=0.0)
-        sums = channel_totals(col, gates)
+        sums = channel_totals(col, snapshot(gates))
         for group in col.groups:
             if group.id in gates.values:
                 assert sums[group.id] == pytest.approx(group.width / 2)

@@ -25,7 +25,7 @@ from prunekit.graph import (
     infer_shapes,
     simple_node,
 )
-from prunekit.relax import gate_scales, score_grads
+from prunekit.relax import gate_scales, score_grads, sigma, snapshot
 from prunekit.subgraph import identify_subgraphs
 
 from gen import gated_setups, grouped_setup, random_gates
@@ -381,11 +381,12 @@ class TestEdgeShapes:
 
 class TestGradients:
     def loss_and_grads(self, graph, weights, x, probe, *, training, coloring=None, gates=None):
-        scales = gate_scales(coloring, gates, x.dtype) if gates is not None else None
+        gains = snapshot(gates) if gates is not None else None
+        scales = gate_scales(coloring, gains, x.dtype) if gates is not None else None
         run = forward(graph, copy.deepcopy(weights), x, node_scales=scales, training=training)
         grads = run.backward(probe)
         if gates is not None:
-            grads = score_grads(coloring, gates, grads)
+            grads = score_grads(coloring, gates, gains, grads)
         return float(np.sum(run.output * probe)), grads
 
     def fd_check(self, seed, training, with_gates):
@@ -496,14 +497,14 @@ class TestRunSemantics:
         x = rng.normal(0, 1, entry_shape.dims())
         gates = random_gates(col, rng, dtype=np.float64)
         gated = forward(
-            graph, copy.deepcopy(weights), x, node_scales=gate_scales(col, gates, x.dtype)
+            graph, copy.deepcopy(weights), x, node_scales=gate_scales(col, snapshot(gates), x.dtype)
         )
         # replicate via fixed node scales on each producer
         scales = {}
         for group in col.prunable_groups():
             for member in group.members:
                 if member.role in ("conv-output", "fc-output"):
-                    scales[member.node] = gates.gains(group.id)
+                    scales[member.node] = sigma(gates.values[group.id], gates.steepness)
         plain = forward(graph, copy.deepcopy(weights), x, node_scales=scales)
         np.testing.assert_allclose(gated.output, plain.output, rtol=1e-12, atol=1e-12)
 

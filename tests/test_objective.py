@@ -1,9 +1,11 @@
 """Loss assembly: cross-entropy oracles, schedules, pressure + stiffening."""
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from prunekit import relax
 from prunekit.engine import forward, init_weights
 from prunekit.errors import (
     EmptySchedule,
@@ -25,7 +27,7 @@ from prunekit.objective import (
     resolve_schedule,
     total_loss,
 )
-from prunekit.relax import init_gates, sigma
+from prunekit.relax import init_gates, sigma, snapshot
 from prunekit.subgraph import identify_subgraphs
 
 from gen import gated_setups, random_gates
@@ -153,7 +155,7 @@ class TestArchitectureTerms:
         graph, shapes, col, gates, _ = self.setup_case(MODE_SPARSITY, 0.3)
         cfg = ObjectiveConfig(mode=MODE_SPARSITY, target=0.3, mu=0.0, lam=0.0)
         pressure, stiff, ratio, sp, sq, grads = architecture_terms(
-            graph, col, gates, shapes, cfg, step=0
+            graph, col, gates, snapshot(gates), shapes, cfg, step=0
         )
         assert pressure == 0.0 and stiff == 0.0
         assert grads == {}
@@ -162,7 +164,7 @@ class TestArchitectureTerms:
     def test_pressure_value_and_direction(self):
         graph, shapes, col, gates, cfg = self.setup_case(MODE_SPARSITY, 0.0, mu=2.0, lam=0.0)
         pressure, stiff, ratio, sp, sq, grads = architecture_terms(
-            graph, col, gates, shapes, cfg, step=0
+            graph, col, gates, snapshot(gates), shapes, cfg, step=0
         )
         assert pressure == pytest.approx(2.0 * abs(sp - 0.0), rel=1e-12)
         # ratio above target: positive gradient pushes scores (and gains) down
@@ -171,7 +173,9 @@ class TestArchitectureTerms:
 
     def test_pressure_sign_flips_below_target(self):
         graph, shapes, col, gates, cfg = self.setup_case(MODE_SPARSITY, 1.0, mu=2.0, lam=0.0)
-        _, _, ratio, _, _, grads = architecture_terms(graph, col, gates, shapes, cfg, step=0)
+        _, _, ratio, _, _, grads = architecture_terms(
+            graph, col, gates, snapshot(gates), shapes, cfg, step=0
+        )
         assert ratio < 1.0
         for arr in grads.values():
             assert np.all(arr < 0)
@@ -179,12 +183,14 @@ class TestArchitectureTerms:
     def test_exact_target_uses_zero_subgradient(self):
         graph, shapes, col, gates, _ = self.setup_case(MODE_SPARSITY, 0.3)
         probe = architecture_terms(
-            graph, col, gates, shapes,
+            graph, col, gates, snapshot(gates), shapes,
             ObjectiveConfig(mode=MODE_SPARSITY, target=0.3, mu=1.0, lam=0.0), step=0,
         )
         ratio = probe[2]
         cfg = ObjectiveConfig(mode=MODE_SPARSITY, target=ratio, mu=1.0, lam=0.0)
-        pressure, _, _, _, _, grads = architecture_terms(graph, col, gates, shapes, cfg, step=0)
+        pressure, _, _, _, _, grads = architecture_terms(
+            graph, col, gates, snapshot(gates), shapes, cfg, step=0
+        )
         assert pressure == pytest.approx(0.0, abs=1e-12)
         assert grads == {}
 
@@ -196,10 +202,14 @@ class TestArchitectureTerms:
                 gates.values[gid] = rng.normal(0.2, 0.6, gates.values[gid].shape)
 
             def objective_value():
-                p, s, *_ = architecture_terms(graph, col, gates, shapes, cfg, step=0)
+                p, s, *_ = architecture_terms(
+                    graph, col, gates, snapshot(gates), shapes, cfg, step=0
+                )
                 return p + s
 
-            _, _, _, _, _, grads = architecture_terms(graph, col, gates, shapes, cfg, step=0)
+            _, _, _, _, _, grads = architecture_terms(
+                graph, col, gates, snapshot(gates), shapes, cfg, step=0
+            )
             h = 1e-6
             for gid in gates.values:
                 vec = gates.values[gid]
@@ -218,8 +228,8 @@ class TestArchitectureTerms:
         cfg = ObjectiveConfig(
             mode=MODE_SPARSITY, target=0.0, mu=[(0, 0.0), (3, 1.0)], lam=0.0
         )
-        early = architecture_terms(graph, col, gates, shapes, cfg, step=0)
-        late = architecture_terms(graph, col, gates, shapes, cfg, step=3)
+        early = architecture_terms(graph, col, gates, snapshot(gates), shapes, cfg, step=0)
+        late = architecture_terms(graph, col, gates, snapshot(gates), shapes, cfg, step=3)
         assert early[0] == 0.0
         assert late[0] > 0.0
 
@@ -249,6 +259,34 @@ class TestTotalLoss:
         assert any(key[0] == "w" for key in grads)
         assert any(key[0] == "s" for key in grads)
 
+    def test_gains_are_evaluated_once_per_group(self, monkeypatch):
+        graph = build_reference_model("resnet18", width=16, classes=4, input_size=8)
+        entry = TensorShape(8, 3, (8, 8))
+        shapes = infer_shapes(graph, entry)
+        col = identify_subgraphs(graph, shapes)
+        rng = np.random.default_rng(0)
+        weights = init_weights(graph, shapes, rng)
+        gates = init_gates(col, jitter=0.02, rng=rng)
+        x = rng.normal(0, 1, entry.dims()).astype(np.float32)
+        labels = rng.integers(0, 4, entry.batch)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = relax.sigma
+        for name, module in list(sys.modules.items()):
+            if name.startswith("prunekit") and getattr(module, "sigma", None) is original:
+                monkeypatch.setattr(module, "sigma", counted)
+        cfg = ObjectiveConfig(mode=MODE_FLOPS, target=0.0, mu=1.0, lam=1.0)
+        total_loss(
+            graph, weights, x, labels,
+            coloring=col, gates=gates, shapes=shapes, objective=cfg,
+        )
+        assert len(gates.values) == 12
+        assert len(calls) == len(gates.values)
+
     def test_zero_weights_reduce_to_task_loss(self):
         graph, shapes, col, weights, gates, x, labels = self.make_inputs()
         cfg = ObjectiveConfig(mode=MODE_SPARSITY, target=0.2, mu=0.0, lam=0.0)
@@ -273,7 +311,7 @@ class TestTotalLoss:
             coloring=col, gates=gates, shapes=shapes, objective=both, training=False,
         )
         _, _, _, _, _, g_arch = architecture_terms(
-            graph, col, gates, shapes, both, step=0
+            graph, col, gates, snapshot(gates), shapes, both, step=0
         )
         for key in g_both:
             if key[0] == "w":

@@ -1,4 +1,6 @@
 """Optimizers against hand-stepped updates; checkpoint round trips."""
+import json
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,33 @@ class TestCheckpoints:
         bad = tmp_path / "cut.npz"
         bad.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
+            load_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("part, name", [
+        ("header", "graph"),
+        ("header", "w_index"),
+        ("header", "gates"),
+        ("header", "opt_t"),
+        ("array", "w00003"),
+        ("array", "g00001"),
+        ("array", "o00000"),
+    ])
+    def test_malformed_checkpoint(self, tmp_path, part, name):
+        graph, weights, gates, opt, rng = self.build_state()
+        path = tmp_path / "ok.npz"
+        save_checkpoint(str(path), graph=graph, weights=weights, gates=gates,
+                        optimizer=opt, rng=rng, meta={})
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        if part == "header":
+            header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+            del header[name]
+            arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        else:
+            del arrays[name]
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(CheckpointError, match=f"lacks '{name}'"):
             load_checkpoint(str(bad))
 
     def test_no_stray_tmp_file(self, tmp_path):

@@ -1,15 +1,18 @@
 """Property tests over random gated graphs (``gen.py``) in float64."""
 import copy
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from prunekit import graphio
 from prunekit.accounting import structure_measures
-from prunekit.engine import forward, init_weights
+from prunekit.engine import forward, init_weights, trainable_params
 from prunekit.graph import TensorShape, infer_shapes
+from prunekit.optim import OptimConfig, Optimizer, load_checkpoint, save_checkpoint
 from prunekit.pruner import fold_gates, rewrite
-from prunekit.relax import MaskSet, gate_scales
+from prunekit.relax import MaskSet, channel_totals, gate_scales, snapshot
 from prunekit.subgraph import identify_subgraphs
 
 from gen import gated_setups, random_gates, random_masks
@@ -60,7 +63,7 @@ def test_folded_weights_match_gate_scales(seed, training):
     folded = fold_gates(graph, col, gates, weights)
     gated = forward(
         graph, copy.deepcopy(weights), x,
-        node_scales=gate_scales(col, gates, x.dtype), training=training,
+        node_scales=gate_scales(col, snapshot(gates), x.dtype), training=training,
     ).output
     plain = forward(graph, copy.deepcopy(folded), x, training=training).output
     np.testing.assert_allclose(plain, gated, rtol=1e-10, atol=1e-12)
@@ -92,7 +95,8 @@ def test_unit_scales_change_nothing_and_return_channel_sums(seed, training):
 
 
 def report_text(graph, coloring, gates, shapes):
-    return structure_measures(graph, coloring, gates, shapes).to_text()
+    widths = channel_totals(coloring, snapshot(gates))
+    return structure_measures(graph, coloring, widths, shapes).to_text()
 
 
 @PROPERTY
@@ -130,10 +134,50 @@ def test_rewritten_graph_survives_serialization(seed, training):
     def output(graph, coloring):
         return forward(
             graph, copy.deepcopy(result.weights), x,
-            node_scales=gate_scales(coloring, result.gates, x.dtype), training=training,
+            node_scales=gate_scales(coloring, snapshot(result.gates), x.dtype), training=training,
         ).output
 
     assert np.array_equal(output(restored, col), output(result.graph, result.coloring))
     assert report_text(restored, col, result.gates, shapes) == report_text(
         result.graph, result.coloring, result.gates, result.shapes
     )
+
+
+def assert_same_arrays(got, want):
+    assert set(got) == set(want)
+    for key, arr in want.items():
+        assert got[key].dtype == arr.dtype, key
+        assert np.array_equal(got[key], arr), key
+
+
+@PROPERTY
+@given(seed=st.integers(0, 5000), kind=st.sampled_from(["adam", "sgd"]))
+def test_checkpoint_round_trip_resumes_bitwise(seed, kind):
+    graph, col, weights, gates, _ = gated_case(seed)
+    rng = np.random.default_rng(seed)
+    params = trainable_params(weights, gates)
+    grads = {key: rng.normal(0, 1, p.shape).astype(p.dtype) for key, p in params.items()}
+    optimizer = Optimizer(OptimConfig(kind=kind, lr=1e-2, weight_decay=1e-3))
+    optimizer.step(params, grads)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.npz"
+        save_checkpoint(path, graph=graph, weights=weights, gates=gates,
+                        optimizer=optimizer, rng=rng, meta={"seed": seed})
+        ck = load_checkpoint(path)
+
+    assert graphio.serialize(ck.graph) == graphio.serialize(graph)
+    assert_same_arrays(trainable_params(ck.weights, ck.gates), params)
+    for nid, arrays in weights.items():
+        assert_same_arrays(ck.weights[nid], arrays)
+    restored = Optimizer(OptimConfig(kind=kind, lr=1e-2, weight_decay=1e-3))
+    restored.load_state_dict(ck.opt_state)
+    assert restored.t == optimizer.t
+    assert set(restored.slots) == set(optimizer.slots)
+    for key, slot in optimizer.slots.items():
+        assert_same_arrays(restored.slots[key], slot)
+    assert ck.rng_state == rng.bit_generator.state
+
+    resumed = trainable_params(ck.weights, ck.gates)
+    optimizer.step(params, grads)
+    restored.step(resumed, grads)
+    assert_same_arrays(resumed, params)

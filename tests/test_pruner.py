@@ -27,7 +27,7 @@ from prunekit.pruner import (
     threshold_masks,
     verify_equivalence,
 )
-from prunekit.relax import GateSet, MaskSet, gate_scales, init_gates, sigma
+from prunekit.relax import GateSet, MaskSet, gate_scales, init_gates, sigma, snapshot
 from prunekit.subgraph import identify_subgraphs
 
 from gen import gated_setups, producer_group, random_gates, random_masks
@@ -220,7 +220,7 @@ class TestMaskedScales:
         masks = threshold_masks(gates, 0.5)
         scales = masked_scales(graph, col, gates, masks)
         trunk = producer_group(col, "stem.conv")
-        gains = gates.gains(trunk)
+        gains = sigma(gates.values[trunk], gates.steepness)
         mask = masks.masks[trunk]
         np.testing.assert_allclose(scales["stem.conv"], gains * mask, rtol=1e-6)
 
@@ -244,7 +244,7 @@ class TestFolding:
         folded = fold_gates(graph, col, gates, weights)
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, entry.dims())
-        scales = gate_scales(col, gates, x.dtype)
+        scales = gate_scales(col, snapshot(gates), x.dtype)
         for training in (False, True):
             a = forward(graph, copy.deepcopy(weights), x, node_scales=scales,
                         training=training).output
@@ -282,7 +282,7 @@ class TestFolding:
         gains = sigma(gates.values[gid], gates.steepness)
         np.testing.assert_allclose(folded["fc1"]["bias"], weights["fc1"]["bias"] * gains)
         x = rng.normal(0, 1, entry.dims())
-        scales = gate_scales(col, gates, x.dtype)
+        scales = gate_scales(col, snapshot(gates), x.dtype)
         for training in (False, True):
             a = forward(graph, copy.deepcopy(weights), x, node_scales=scales,
                         training=training).output

@@ -13,10 +13,9 @@ from prunekit.relax import (
     export_snapshot,
     init_gates,
     sigma,
-    sigma_grad,
+    slope,
     snapshot,
     stiffening,
-    stiffening_grad,
 )
 from prunekit.subgraph import identify_subgraphs
 
@@ -50,11 +49,11 @@ class TestSigma:
         s = rng.normal(0, 1.5, size=40)
         h = 1e-6
         fd = (sigma(s + h, 4.0) - sigma(s - h, 4.0)) / (2 * h)
-        np.testing.assert_allclose(sigma_grad(s, 4.0), fd, rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(slope(sigma(s, 4.0), 4.0), fd, rtol=1e-7, atol=1e-9)
 
     def test_grad_peak_at_zero(self):
         # a * 0.25 at s = 0
-        assert sigma_grad(0.0, steepness=4.0) == pytest.approx(1.0, abs=1e-15)
+        assert slope(sigma(0.0, steepness=4.0), 4.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_nonpositive_steepness_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -69,7 +68,7 @@ class TestGateSet:
         for g in col.prunable_groups():
             assert gates.values[g.id].shape == (g.width,)
             np.testing.assert_allclose(gates.values[g.id], 0.25)
-            np.testing.assert_allclose(gates.gains(g.id), 0.7310585786300049, rtol=1e-6)
+            np.testing.assert_allclose(snapshot(gates)[g.id], 0.7310585786300049, rtol=1e-6)
         assert gates.total_size() == sum(g.width for g in col.prunable_groups())
 
     def test_init_jitter_is_deterministic_and_zero_mean(self):
@@ -117,26 +116,26 @@ class TestStiffening:
     def test_known_values(self):
         # exp(-s^2 / (2 b^2)) averaged over all gate entries.
         gates = GateSet(values={0: np.array([1.0])}, stiffening_sd=1.0)
-        assert stiffening(gates) == pytest.approx(0.6065306597126334, abs=1e-15)
+        assert stiffening(gates)[0] == pytest.approx(0.6065306597126334, abs=1e-15)
         gates = GateSet(values={0: np.array([0.0, 1e8])}, stiffening_sd=1.0)
-        assert stiffening(gates) == pytest.approx(0.5, abs=1e-12)
+        assert stiffening(gates)[0] == pytest.approx(0.5, abs=1e-12)
         gates = GateSet(values={0: np.array([2.0])}, stiffening_sd=2.0)
-        assert stiffening(gates) == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert stiffening(gates)[0] == pytest.approx(math.exp(-0.5), abs=1e-15)
 
     def test_average_spans_groups_of_unequal_width(self):
         gates = GateSet(values={0: np.zeros(3), 1: np.array([1e8])}, stiffening_sd=1.0)
         # (3 * 1.0 + 0.0) / 4
-        assert stiffening(gates) == pytest.approx(0.75, abs=1e-12)
+        assert stiffening(gates)[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_maximised_at_zero_scores(self):
         gates = GateSet(values={0: np.zeros(5)})
-        assert stiffening(gates) == pytest.approx(1.0, abs=1e-15)
+        assert stiffening(gates)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         values = {0: rng.normal(0, 1, 5), 3: rng.normal(0, 1, 2)}
         gates = GateSet(values={k: v.copy() for k, v in values.items()}, stiffening_sd=0.8)
-        grads = stiffening_grad(gates)
+        _, grads = stiffening(gates)
         h = 1e-6
         for gid, vec in values.items():
             for i in range(len(vec)):
@@ -145,15 +144,14 @@ class TestStiffening:
                 up[gid][i] += h
                 dn[gid][i] -= h
                 fd = (
-                    stiffening(GateSet(values=up, stiffening_sd=0.8))
-                    - stiffening(GateSet(values=dn, stiffening_sd=0.8))
+                    stiffening(GateSet(values=up, stiffening_sd=0.8))[0]
+                    - stiffening(GateSet(values=dn, stiffening_sd=0.8))[0]
                 ) / (2 * h)
                 assert grads[gid][i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_grad_zero_for_empty_gates(self):
         gates = GateSet(values={})
-        assert stiffening(gates) == 0.0
-        assert stiffening_grad(gates) == {}
+        assert stiffening(gates) == (0.0, {})
 
 
 class TestSnapshots:

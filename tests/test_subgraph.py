@@ -1,7 +1,7 @@
 """Channel grouping: merges across joins, concat segments, prunability."""
 import pytest
 
-from prunekit.accounting import channel_totals, structure_measures
+from prunekit.accounting import structure_measures
 from prunekit.errors import InconsistentWidths
 from prunekit.graph import (
     Graph,
@@ -13,6 +13,7 @@ from prunekit.graph import (
     simple_node,
 )
 from prunekit.models import build_reference_model
+from prunekit.relax import channel_totals
 from prunekit.subgraph import (
     ROLE_BN,
     ROLE_CONV_IN,
@@ -218,7 +219,7 @@ class TestPrunability:
         every node are its first input's and its own channel counts."""
         for seed in range(10):
             graph, entry_shape, shapes, col = grouped_setup(seed, allow_unknown=(seed % 5 == 0))
-            full = channel_totals(col, None)
+            full = channel_totals(col, {})
             assert col.costs.nodes == graph.topo_order()
             for i, nid in enumerate(col.costs.nodes):
                 ins = graph.inputs(nid)
@@ -273,9 +274,9 @@ class TestReferenceModels:
         footprint = {}
         for group in col.prunable_groups():
             # The cost a group adds when switched fully on, all else on.
-            widths = channel_totals(col, None)
+            widths = channel_totals(col, {})
             widths[group.id] = 0.0
-            off = structure_measures(g, col, None, shapes, channel_sums=widths)
+            off = structure_measures(g, col, widths, shapes)
             footprint[group.id] = (
                 full.total_params - off.relaxed_params,
                 full.total_flops - off.relaxed_flops,

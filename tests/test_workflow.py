@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from prunekit.errors import InvalidConfig, ResumeMismatch, RewriteMismatch
 from prunekit.graph import TensorShape, infer_shapes, validate
 from prunekit.objective import ObjectiveConfig, confusion_counts, mean_iou
 from prunekit.optim import OptimConfig, load_checkpoint, save_checkpoint
-from prunekit.relax import GateSet, gate_scales, snapshot
+from prunekit.relax import GateSet, channel_totals, gate_scales, snapshot
 from prunekit.subgraph import identify_subgraphs
 from prunekit.workflow import (
     DEFAULT_THRESHOLD_RAMP,
@@ -100,6 +101,24 @@ class TestWorkflowConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidConfig):
             WorkflowConfig.from_dict({"learning_rate": 0.1})
+
+    @pytest.mark.parametrize("raw, named", [
+        ({"steps": [{"epochs": 1}, {"epochs": 1, "warmup": 2}]}, "warmup"),
+        ({"objective": {"mode": "flops", "weight": 0.1}}, "weight"),
+        ({"optimizer": {"kind": "adam", "learning_rate": 0.1}}, "learning_rate"),
+        ({"objective": {"mu": [[0, 0.5], [3]]}}, "objective.mu"),
+        ({"objective": {"lam": [0.2]}}, "objective.lam"),
+        ({"steps": ["warmup"]}, "steps[0]"),
+    ])
+    def test_from_dict_names_bad_nested_keys(self, raw, named):
+        with pytest.raises(InvalidConfig, match=re.escape(named)):
+            WorkflowConfig.from_dict(raw)
+
+    def test_train_reports_bad_nested_key_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"steps": [{"epochs": 1, "warmup": 2}]}))
+        assert cli_main(["train", "--config", str(path)]) == 2
+        assert "warmup" in capsys.readouterr().err
 
     def test_dict_round_trip(self):
         config = WorkflowConfig(
@@ -311,7 +330,7 @@ class TestRunArtifacts:
         plain = forward(result.graph, ckpt_weights, probe, training=False).output
         gated = forward(
             result.graph, {k: v for k, v in ckpt_weights.items()}, probe,
-            node_scales=gate_scales(result.coloring, result.gates, probe.dtype),
+            node_scales=gate_scales(result.coloring, snapshot(result.gates), probe.dtype),
             training=False,
         ).output
         # Folding multiplies the gate gains into producer kernels, so running
@@ -323,6 +342,14 @@ class TestRunArtifacts:
         text = (out_dir / "gates_snapshot.txt").read_text()
         lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         assert len(lines) == len(snapshot(result.gates))
+        for line in lines:
+            keys = [token.split("=")[0] for token in line.split()[2:]]
+            assert keys == ["width", "sigma"], line
+
+    def test_gate_snapshot_is_the_last_checkpoints_export(self, mini_run, capsys):
+        _, _, out_dir = mini_run
+        assert cli_main(["export-gates", "--checkpoint", str(out_dir / "step_01.npz")]) == 0
+        assert capsys.readouterr().out == (out_dir / "gates_snapshot.txt").read_text()
 
     def test_scores_recorded_per_test_step(self, mini_run):
         _, result, _ = mini_run
@@ -539,7 +566,8 @@ class TestCli:
         ckpt = load_checkpoint(path)
         shapes = infer_shapes(ckpt.graph, TensorShape(1, 3, (16, 16)))
         coloring = identify_subgraphs(ckpt.graph, shapes)
-        expected = structure_measures(ckpt.graph, coloring, ckpt.gates, shapes).to_text()
+        widths = None if ckpt.gates is None else channel_totals(coloring, snapshot(ckpt.gates))
+        expected = structure_measures(ckpt.graph, coloring, widths, shapes).to_text()
         assert cli_main(["report", "--checkpoint", str(path)]) == 0
         assert capsys.readouterr().out == expected
 
