@@ -24,9 +24,6 @@ from .errors import ZeroTotal
 from .graph import Graph, OpKind, TensorShape
 from .subgraph import Coloring, cost_coefficients
 
-# Parameter counts do not depend on tensor shapes.
-_ANY_SHAPE = TensorShape(1, 1)
-
 
 @dataclass(frozen=True)
 class OpCost:
@@ -63,11 +60,6 @@ class CostReport:
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines) + "\n"
-
-
-def op_params(node_kind: OpKind, c_in: float, c_out: float, kernel_size: int = 1) -> float:
-    (p2, _), (p1, _) = cost_coefficients(node_kind, kernel_size, _ANY_SHAPE, _ANY_SHAPE)
-    return c_in * c_out * p2 + c_out * p1
 
 
 def op_flops(

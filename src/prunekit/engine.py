@@ -204,7 +204,6 @@ def forward(
     *,
     node_scales: dict[str, np.ndarray] | None = None,
     training: bool = False,
-    bn_momentum: float = BN_MOMENTUM,
 ) -> Run:
     """Execute the graph on a batch.
 
@@ -229,7 +228,7 @@ def forward(
                 raise MissingWeights(f"no weights for node {nid!r}")
 
         xs = [acts[p] for p in producers]
-        y, fn = _OP_TABLE[node.kind](node, xs, weights.get(nid), x, training, bn_momentum)
+        y, fn = _OP_TABLE[node.kind](node, xs, weights.get(nid), x, training)
         scale = None
         if nid in scales:
             vec = scales[nid].astype(y.dtype, copy=False)
@@ -251,18 +250,18 @@ def forward(
 # operator is a source.
 
 
-def _op_input(node, xs, w, x0, training, mom):
+def _op_input(node, xs, w, x0, training):
     return np.asarray(x0), None
 
 
-def _op_output(node, xs, w, x0, training, mom):
+def _op_output(node, xs, w, x0, training):
     def fn(gy):
         return [gy], {}
 
     return xs[0], fn
 
 
-def _op_relu(node, xs, w, x0, training, mom):
+def _op_relu(node, xs, w, x0, training):
     x = xs[0]
     y = np.maximum(x, 0)
     mask = x > 0
@@ -273,7 +272,7 @@ def _op_relu(node, xs, w, x0, training, mom):
     return y, fn
 
 
-def _op_sum(node, xs, w, x0, training, mom):
+def _op_sum(node, xs, w, x0, training):
     y = xs[0].copy()
     for other in xs[1:]:
         y += other
@@ -284,7 +283,7 @@ def _op_sum(node, xs, w, x0, training, mom):
     return y, fn
 
 
-def _op_product(node, xs, w, x0, training, mom):
+def _op_product(node, xs, w, x0, training):
     y = xs[0].copy()
     for other in xs[1:]:
         y *= other
@@ -302,7 +301,7 @@ def _op_product(node, xs, w, x0, training, mom):
     return y, fn
 
 
-def _op_concat(node, xs, w, x0, training, mom):
+def _op_concat(node, xs, w, x0, training):
     widths = [a.shape[1] for a in xs]
     y = np.concatenate(xs, axis=1)
 
@@ -350,7 +349,7 @@ def _phase_axis(n, k, s, p, n_out):
     return pitch, spans
 
 
-def _op_conv(node, xs, w, x0, training, mom):
+def _op_conv(node, xs, w, x0, training):
     x = xs[0]
     kernel = w["kernel"]
     if x.ndim != 4 or kernel.ndim != 4:
@@ -418,7 +417,7 @@ def _op_conv(node, xs, w, x0, training, mom):
     return y, fn
 
 
-def _op_fc(node, xs, w, x0, training, mom):
+def _op_fc(node, xs, w, x0, training):
     x = xs[0]
     weight, bias = w["weight"], w["bias"]
     orig_shape = x.shape
@@ -438,7 +437,7 @@ def _op_fc(node, xs, w, x0, training, mom):
     return y, fn
 
 
-def _op_batchnorm(node, xs, w, x0, training, mom):
+def _op_batchnorm(node, xs, w, x0, training):
     x = xs[0]
     gamma, beta = w["gamma"], w["beta"]
     if x.shape[1] != gamma.shape[0]:
@@ -453,8 +452,8 @@ def _op_batchnorm(node, xs, w, x0, training, mom):
         mean64 = _csum(x3, np.float64) / n
         xc = x3 - mean64.astype(x.dtype)[:, None]
         var64 = np.einsum("bcs,bcs->c", xc, xc, dtype=np.float64) / n
-        w["running_mean"] += (mom * (mean64 - w["running_mean"])).astype(gamma.dtype)
-        w["running_var"] += (mom * (var64 - w["running_var"])).astype(gamma.dtype)
+        w["running_mean"] += (BN_MOMENTUM * (mean64 - w["running_mean"])).astype(gamma.dtype)
+        w["running_var"] += (BN_MOMENTUM * (var64 - w["running_var"])).astype(gamma.dtype)
     else:
         xc = x3 - w["running_mean"].astype(x.dtype)[:, None]
         var64 = w["running_var"].astype(np.float64)
@@ -495,7 +494,7 @@ def _pool_taps(f, oh, ow):
     ]
 
 
-def _op_maxpool(node, xs, w, x0, training, mom):
+def _op_maxpool(node, xs, w, x0, training):
     x = xs[0]
     f = int(node.attr("factor"))
     taps = _pool_taps(f, x.shape[2] // f, x.shape[3] // f)
@@ -530,7 +529,7 @@ def _op_maxpool(node, xs, w, x0, training, mom):
     return y, fn
 
 
-def _op_upsample(node, xs, w, x0, training, mom):
+def _op_upsample(node, xs, w, x0, training):
     x = xs[0]
     f = int(node.attr("factor"))
     b, c, h, wdt = x.shape
@@ -549,7 +548,7 @@ def _op_upsample(node, xs, w, x0, training, mom):
     return y, fn
 
 
-def _op_unknown(node, xs, w, x0, training, mom):
+def _op_unknown(node, xs, w, x0, training):
     # Unknown operators execute as identity on their first input; their
     # groups are non-prunable, so this only needs to keep data flowing.
     def fn(gy):

@@ -190,9 +190,6 @@ class Graph:
 
     # -- structure queries ---------------------------------------------------
 
-    def node(self, node_id: str) -> OperatorNode:
-        return self.nodes[node_id]
-
     def inputs(self, node_id: str) -> tuple[str, ...]:
         """Producer ids feeding ``node_id``, ordered by slot."""
         return self._inputs[node_id]  # type: ignore[attr-defined]

@@ -14,14 +14,15 @@ order, so serialisation is byte-deterministic. Attribute values are integers
 ``inputs`` list is ordered by input slot. A record whose kind token is not a
 known operator parses as kind ``Unknown``; the original token is preserved in
 the ``kind_name`` attribute and restored on output, so unknown operators
-survive a round trip untouched.
+survive a round trip untouched. A document whose graph fails the structural
+checks of :func:`~prunekit.graph.validate` does not load.
 """
 from __future__ import annotations
 
 from typing import Any
 
 from .errors import ParseError
-from .graph import KIND_NAME_ATTR, REQUIRED_ATTRS, Edge, Graph, OperatorNode, OpKind
+from .graph import KIND_NAME_ATTR, REQUIRED_ATTRS, Edge, Graph, OperatorNode, OpKind, validate
 
 FORMAT_VERSION = 1
 
@@ -160,7 +161,11 @@ def deserialize(text: str) -> Graph:
         raise ParseError(f"entry {entry!r} is not a node")
     if exit_ not in nodes:
         raise ParseError(f"exit {exit_!r} is not a node")
-    return Graph(nodes=nodes, edges=tuple(edges), entry=entry, exit=exit_)
+    graph = Graph(nodes=nodes, edges=tuple(edges), entry=entry, exit=exit_)
+    problems = [f"{d.code} {d.node or '-'}: {d.message}" for d in validate(graph)]
+    if problems:
+        raise ParseError("invalid graph: " + "; ".join(problems))
+    return graph
 
 
 def _coerce_known_attrs(kind: OpKind, attrs: dict[str, Any], lineno: int) -> dict[str, Any]:

@@ -110,9 +110,7 @@ class Optimizer:
     def load_state_dict(self, state: dict) -> None:
         self.t = int(state["t"])
         self.slots = {
-            tuple(key) if not isinstance(key, tuple) else key: {
-                name: np.asarray(arr) for name, arr in slot.items()
-            }
+            key: {name: np.asarray(arr) for name, arr in slot.items()}
             for key, slot in state["slots"].items()
         }
 
@@ -128,14 +126,6 @@ class Checkpoint:
     opt_state: dict | None
     rng_state: dict | None
     meta: dict = field(default_factory=dict)
-
-
-def _encode_key(key: ParamKey) -> list:
-    return list(key)
-
-
-def _decode_key(enc: list) -> ParamKey:
-    return tuple(enc)
 
 
 def save_checkpoint(
@@ -185,10 +175,9 @@ def save_checkpoint(
         for key in sorted(state["slots"]):
             for slot_name in sorted(state["slots"][key]):
                 arrays[f"o{len(o_index):05d}"] = state["slots"][key][slot_name]
-                o_index.append([_encode_key(key), slot_name])
+                o_index.append([list(key), slot_name])
         header["o_index"] = o_index
         header["opt_t"] = state["t"]
-        header["opt_config"] = vars(optimizer.config)
 
     if rng is not None:
         header["rng_state"] = rng.bit_generator.state
@@ -243,8 +232,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if "o_index" in header:
             slots: dict[ParamKey, dict[str, np.ndarray]] = {}
             for i, (enc, slot_name) in enumerate(header["o_index"]):
-                slots.setdefault(_decode_key(enc), {})[slot_name] = arrays[f"o{i:05d}"]
-            opt_state = {"t": header["opt_t"], "slots": slots, "config": header.get("opt_config")}
+                slots.setdefault(tuple(enc), {})[slot_name] = arrays[f"o{i:05d}"]
+            opt_state = {"t": header["opt_t"], "slots": slots}
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} lacks {exc}") from exc
 

@@ -8,10 +8,12 @@ rewriter then produces a physically smaller graph — channels sliced out of
 kernels, starved operators removed, degenerate joins spliced — whose outputs
 match the masked model's to float tolerance, which is checked, not assumed.
 
-Zero propagation is what makes removal exact: convolutions are bias-free, so
-an operator whose inputs are all structurally zero produces zeros, and a
-normalisation whose input channel is structurally zero is clamped because its
-removal also removes the shift it would otherwise reintroduce.
+Channel liveness (:func:`alive_channels`) alone decides a cut, and zero
+propagation makes removal exact: convolutions are bias-free, so an operator
+whose inputs are all structurally zero produces zeros; a normalisation
+inherits its input's dead channels and is clamped there, because removing it
+also removes the shift it would otherwise reintroduce. A group keeps the
+channels that are alive on any tensor carrying it.
 """
 from __future__ import annotations
 
@@ -31,13 +33,7 @@ from .errors import (
 )
 from .graph import Graph, OpKind, OperatorNode, TensorShape, infer_shapes
 from .relax import GateSet, MaskSet, gate_scales, gate_sites, sigma, snapshot
-from .subgraph import (
-    ROLE_BN,
-    ROLE_CONV_OUT,
-    ROLE_FC_OUT,
-    Coloring,
-    identify_subgraphs,
-)
+from .subgraph import Coloring, identify_subgraphs
 
 _CLAMPED = (OpKind.CONV, OpKind.FULLY_CONNECTED, OpKind.BATCH_NORM)
 
@@ -66,17 +62,12 @@ def threshold_masks(gates: GateSet, tau: float, min_keep: int = 0) -> MaskSet:
     return MaskSet(masks=masks, threshold=tau)
 
 
-def _group_mask(coloring: Coloring, masks: MaskSet, gid: int) -> np.ndarray:
-    group = coloring.group(gid)
-    if group.prunable and gid in masks.masks:
-        return masks.masks[gid].astype(bool)
-    return np.ones(group.width, dtype=bool)
-
-
-def _node_mask(coloring: Coloring, masks: MaskSet, nid: str) -> np.ndarray:
-    """Concatenated keep-mask across the segments of a node's output."""
-    parts = [_group_mask(coloring, masks, seg.group) for seg in coloring.node_segments[nid]]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+def _own_mask(coloring: Coloring, masks: MaskSet, nid: str) -> np.ndarray:
+    """Keep-mask of the one group a Convolution/FullyConnected output seeds;
+    every channel is on where the group is not prunable or not masked."""
+    (seg,) = coloring.node_segments[nid]
+    mask = masks.masks.get(seg.group) if coloring.group(seg.group).prunable else None
+    return np.ones(seg.width, dtype=bool) if mask is None else mask.astype(bool)
 
 
 def alive_channels(
@@ -84,29 +75,29 @@ def alive_channels(
 ) -> dict[str, np.ndarray]:
     """Per-node boolean flags for output channels that can carry signal.
 
-    A channel is dead when its own mask is off or when zeros are forced on it
-    structurally: a convolution or fully-connected layer whose inputs are all
-    dead emits nothing, a normalisation inherits its input's death (the
-    masked model clamps it, the rewrite removes it), products die with any
-    dead factor, sums only with all of them.
+    Every entry channel is on. A convolution or fully-connected layer keeps
+    its own mask, and nothing if all its input channels are dead; sums die
+    only with all their operands, products with any factor, concatenations
+    lay their inputs side by side, and every other operator copies its
+    input's flags. A normalisation thus inherits its input's death (the
+    masked model clamps it, the rewrite removes it): its flags already lie
+    within its groups' masks, as every node's do.
     """
     alive: dict[str, np.ndarray] = {}
     for nid in graph.topo_order():
         node = graph.nodes[nid]
         ins = [alive[p] for p in graph.inputs(nid)]
         if node.kind == OpKind.INPUT:
-            flags = np.ones(coloring.group(coloring.node_segments[nid][0].group).width, dtype=bool)
+            flags = np.ones(coloring.node_segments[nid][0].width, dtype=bool)
         elif node.kind in (OpKind.CONV, OpKind.FULLY_CONNECTED):
-            flags = _node_mask(coloring, masks, nid) & bool(np.any(ins[0]))
-        elif node.kind == OpKind.BATCH_NORM:
-            flags = _node_mask(coloring, masks, nid) & ins[0]
+            flags = _own_mask(coloring, masks, nid) & bool(np.any(ins[0]))
         elif node.kind == OpKind.SUM:
             flags = np.logical_or.reduce(ins)
         elif node.kind == OpKind.PRODUCT:
             flags = np.logical_and.reduce(ins)
         elif node.kind == OpKind.CONCAT:
             flags = np.concatenate(ins)
-        else:  # ReLU, MaxPool, Upsample, Output, Unknown: channel-preserving
+        else:  # BatchNorm, ReLU, MaxPool, Upsample, Output, Unknown
             flags = ins[0].copy()
         alive[nid] = flags
     return alive
@@ -148,6 +139,8 @@ class GroupPruneRecord:
 
 @dataclass
 class PruneReport:
+    """One cut's decisions and costs; a workflow writes it as ``prune_step_NN.json``."""
+
     threshold: float
     groups: list[GroupPruneRecord]
     removed_nodes: tuple[str, ...]
@@ -158,22 +151,6 @@ class PruneReport:
     residual: float | None = None
     output_max: float | None = None
     notes: tuple[str, ...] = ()
-
-    def to_text(self) -> str:
-        lines = [
-            f"threshold {self.threshold}",
-            f"params  {self.params_before:.0f} -> {self.params_after:.0f}",
-            f"flops   {self.flops_before:.0f} -> {self.flops_after:.0f}",
-        ]
-        if self.residual is not None:
-            lines.append(f"masked-vs-rewritten residual {self.residual:.3e}")
-        for rec in self.groups:
-            lines.append(f"group {rec.group}: kept {rec.kept}/{rec.width}")
-        if self.removed_nodes:
-            lines.append("removed: " + " ".join(self.removed_nodes))
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -205,20 +182,15 @@ def rewrite(
     if not np.any(alive[graph.exit]):
         raise EmptyNetwork("masking left no live channel at the network output")
 
-    # Effective keep per group: a channel survives if any producer-side member
-    # still carries signal for it (cascaded starvation can kill channels the
-    # raw mask kept).
-    keep: dict[int, np.ndarray] = {}
-    for group in coloring.groups:
-        flags = np.zeros(group.width, dtype=bool)
-        seen_producer = False
-        for member in group.members:
-            if member.role in (ROLE_CONV_OUT, ROLE_FC_OUT, ROLE_BN):
-                seen_producer = True
-                flags |= alive[member.node][member.offset:member.offset + group.width]
-        if not seen_producer:  # entry-fed group: always fully live
-            flags[:] = True
-        keep[group.id] = np.flatnonzero(flags)
+    # A group keeps the channels alive on any tensor that carries it
+    # (cascaded starvation can kill channels the raw mask kept).
+    flags = [np.zeros(g.width, dtype=bool) for g in coloring.groups]
+    for nid, node_flags in alive.items():
+        offset = 0
+        for seg in coloring.node_segments[nid]:
+            flags[seg.group] |= node_flags[offset:offset + seg.width]
+            offset += seg.width
+    keep = {g.id: np.flatnonzero(flags[g.id]) for g in coloring.groups}
 
     def node_keep(nid: str) -> np.ndarray:
         pieces = []
@@ -256,13 +228,10 @@ def rewrite(
 
     # Drop nodes with no remaining path to the exit.
     kept_ids = [nid for nid in graph.nodes if nid not in removed]
-    consumers_of: dict[str, list[str]] = {nid: [] for nid in kept_ids}
-    inputs_of: dict[str, list[str]] = {}
-    for nid in kept_ids:
-        ins = [resolve(p) for p in graph.inputs(nid) if resolve(p) not in removed]
-        inputs_of[nid] = ins
-        for p in ins:
-            consumers_of[p].append(nid)
+    inputs_of = {
+        nid: [resolve(p) for p in graph.inputs(nid) if resolve(p) not in removed]
+        for nid in kept_ids
+    }
     useful = {graph.exit}
     stack = [graph.exit]
     while stack:
@@ -272,8 +241,7 @@ def rewrite(
                 stack.append(p)
     if graph.entry not in useful:
         raise EmptyNetwork("network exit no longer depends on its input")
-    dce = [nid for nid in kept_ids if nid not in useful]
-    removed.update(dce)
+    removed.update(nid for nid in kept_ids if nid not in useful)
     kept_ids = [nid for nid in kept_ids if nid in useful]
 
     # Assemble the new graph with updated channel attributes.

@@ -17,9 +17,11 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Sequence
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -38,7 +40,7 @@ from .engine import Weights, forward, init_weights, trainable_params
 from .errors import InvalidConfig, ResumeMismatch, RewriteMismatch
 from .graph import Graph, TensorShape, infer_shapes
 from .models import build_reference_model
-from .objective import ObjectiveConfig, confusion_counts, mean_iou, total_loss
+from .objective import ObjectiveConfig, Schedule, confusion_counts, mean_iou, total_loss
 from .optim import OptimConfig, Optimizer, load_checkpoint, save_checkpoint
 from .pruner import fold_gates, rewrite, threshold_masks, verify_equivalence
 from .relax import GateSet, channel_totals, export_snapshot, gate_scales, init_gates, snapshot
@@ -139,46 +141,69 @@ class WorkflowConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "WorkflowConfig":
-        raw = dict(raw)
-        if "steps" in raw:
-            raw["steps"] = [
-                s if isinstance(s, StepSpec) else _from_mapping(StepSpec, s, f"steps[{i}]")
-                for i, s in enumerate(raw["steps"])
-            ]
-        if "objective" in raw and not isinstance(raw["objective"], ObjectiveConfig):
-            obj = dict(raw["objective"])
-            for key in ("mu", "lam"):
-                if isinstance(obj.get(key), list):
-                    try:
-                        obj[key] = [(int(s), float(v)) for s, v in obj[key]]
-                    except (TypeError, ValueError) as exc:
-                        raise InvalidConfig(f"objective.{key} must be a list of "
-                                            f"[step, value] pairs, got {obj[key]!r}") from exc
-            raw["objective"] = _from_mapping(ObjectiveConfig, obj, "objective")
-        if "optimizer" in raw and not isinstance(raw["optimizer"], OptimConfig):
-            raw["optimizer"] = _from_mapping(OptimConfig, raw["optimizer"], "optimizer")
-        return _from_mapping(cls, raw, "config")
+        return _from_mapping(cls, raw, "")
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "WorkflowConfig":
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
-        if not isinstance(raw, dict):
-            raise InvalidConfig(f"{path} does not hold a mapping")
-        return cls.from_dict(raw)
+            return cls.from_dict(yaml.safe_load(fh))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 def _from_mapping(cls, raw, where: str):
-    """``cls(**raw)``, naming ``where`` in the error for a key ``cls`` lacks."""
+    """``cls(**raw)``, with each nested mapping built into the dataclass its
+    field annotates and every value checked against its annotation; errors
+    name the dotted key below ``where`` (empty at the top level)."""
     if not isinstance(raw, dict):
-        raise InvalidConfig(f"{where} must be a mapping, got {raw!r}")
+        raise InvalidConfig(f"{where or 'config'} must be a mapping, got {raw!r}")
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
-        raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
-    return cls(**raw)
+        raise InvalidConfig(f"unknown {where or 'config'} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in raw.items():
+        name, hint = f"{where}.{key}" if where else key, hints[key]
+        if is_dataclass(hint) and isinstance(value, dict):
+            value = _from_mapping(hint, value, name)
+        elif hint == list[StepSpec] and isinstance(value, list):
+            value = [s if isinstance(s, StepSpec) else _from_mapping(StepSpec, s, f"{name}[{i}]")
+                     for i, s in enumerate(value)]
+        elif hint == Schedule and isinstance(value, list):
+            try:
+                value = [(int(s), float(v)) for s, v in value]
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(f"{name} must be a list of [step, value] pairs, "
+                                    f"got {value!r}") from exc
+        if not _conforms(value, hint):
+            raise InvalidConfig(f"{name} must be {_type_name(hint)}, got {value!r}")
+        values[key] = value
+    return cls(**values)
+
+
+def _type_name(hint) -> str:
+    if is_dataclass(hint):
+        return "a mapping"
+    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the type ``hint`` annotates; an int passes for
+    a float, a bool for neither, and None only where the hint allows it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if origin is tuple:
+        return (isinstance(value, tuple) and len(value) == len(args)
+                and all(map(_conforms, value, args)))
+    if origin in (list, Sequence):
+        return isinstance(value, (list, tuple)) and all(_conforms(v, args[0]) for v in value)
+    return isinstance(value, origin or hint)
 
 
 @dataclass
@@ -299,8 +324,9 @@ def run(
     """Execute a workflow end to end (or continue one from a checkpoint).
 
     Writes, when an output directory is configured: ``metrics.csv`` (one row
-    per training iteration / prune / test), a checkpoint and prune report per
-    step, the final rewritten graph, folded weights and a gate snapshot.
+    per training iteration / prune / test), a checkpoint per step, a JSON
+    record per cut (``prune_step_NN.json``, the cut's :class:`PruneReport`),
+    the final rewritten graph, folded weights and a gate snapshot.
     """
     if train_set is None or test_set is None:
         train_set, test_set = _load_data(config)
@@ -396,13 +422,13 @@ def run(
             # Moment estimates refer to parameter axes that may no longer
             # exist, so the optimizer restarts after every rewrite.
             optimizer = Optimizer(config.optimizer)
-            report = structure_measures(graph, coloring, None, shapes, baseline=baseline)
+            cut = result.report
             if out_dir is not None:
-                with open(out_dir / f"prune_step_{step_index:02d}.txt", "w") as fh:
-                    fh.write(result.report.to_text())
+                (out_dir / f"prune_step_{step_index:02d}.json").write_text(json.dumps(asdict(cut)))
             metrics.write(
                 step=step_index, epoch=global_epoch, iteration=0, phase="prune",
-                sigma_p=f"{report.sigma_p:.6f}", sigma_q=f"{report.sigma_q:.6f}",
+                sigma_p=f"{cut.params_after / baseline[0]:.6f}",
+                sigma_q=f"{cut.flops_after / baseline[1]:.6f}",
                 score=f"{residual:.3e}", seconds=f"{time.perf_counter() - step_t0:.3f}",
             )
 

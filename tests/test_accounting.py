@@ -4,7 +4,6 @@ import pytest
 
 from prunekit.accounting import (
     op_flops,
-    op_params,
     structure_grads,
     structure_measures,
 )
@@ -19,7 +18,7 @@ from prunekit.graph import (
 )
 from prunekit.models import build_reference_model
 from prunekit.relax import GateSet, channel_totals, init_gates, slope, snapshot
-from prunekit.subgraph import identify_subgraphs
+from prunekit.subgraph import cost_coefficients, identify_subgraphs
 
 from gen import gated_setups, grouped_setup, random_gates, random_masks
 from oracles import brute_force_counts, full_widths, kept_from_masks, relative_error
@@ -202,9 +201,14 @@ class TestChannelTotals:
 
     def test_op_level_helpers(self):
         # sanity-pin the row formulas used throughout
-        assert op_params(OpKind.CONV, 3, 16, 9) == 432
-        assert op_params(OpKind.FULLY_CONNECTED, 16, 4) == 68
-        assert op_params(OpKind.BATCH_NORM, 16, 16) == 32
+        def params(kind, c_in, c_out, kernel_size=1):
+            shape = TensorShape(1, c_out)
+            (p2, _), (p1, _) = cost_coefficients(kind, kernel_size, shape, shape)
+            return c_in * c_out * p2 + c_out * p1
+
+        assert params(OpKind.CONV, 3, 16, 9) == 432
+        assert params(OpKind.FULLY_CONNECTED, 16, 4) == 68
+        assert params(OpKind.BATCH_NORM, 16, 16) == 32
         assert op_flops(OpKind.CONV, 3, 16, 9, TensorShape(1, 16, (32, 32)), None) == 458752
         assert op_flops(
             OpKind.MAX_POOL, 16, 16, 1, TensorShape(1, 16, (2, 2)), TensorShape(1, 16, (4, 4))

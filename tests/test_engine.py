@@ -142,7 +142,7 @@ class TestForwardOracles:
         }
         batch_mean = x.mean(axis=(0, 2, 3))
         batch_var = x.var(axis=(0, 2, 3))
-        forward(g, w, x, training=True, bn_momentum=0.1)
+        forward(g, w, x, training=True)
         np.testing.assert_allclose(w["bn"]["running_mean"], 0.1 * batch_mean, rtol=1e-10)
         np.testing.assert_allclose(w["bn"]["running_var"], 0.9 + 0.1 * batch_var, rtol=1e-10)
 

@@ -371,6 +371,21 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             deserialize("version 1\nentry a\nexit a\nnode a Output inputs=ghost\n")
 
+    @pytest.mark.parametrize(
+        "body,code,node",
+        [
+            ("node c Convolution inputs=in,in in_channels=1 out_channels=1 kernel=1,1 "
+             "stride=1,1 padding=0,0\nnode out Output inputs=c\n", "BadArity", "c"),
+            ("node s Sum inputs=in\nnode out Output inputs=s\n", "BadArity", "s"),
+            ("node r ReLU inputs=in\nnode out Output inputs=in\n", "Unreachable", "r"),
+        ],
+        ids=["two-input-conv", "one-input-sum", "unreachable-relu"],
+    )
+    def test_structurally_invalid_documents_rejected(self, body, code, node):
+        text = "version 1\nentry in\nexit out\nnode in Input\n" + body
+        with pytest.raises(ParseError, match=f"{code} {node}:"):
+            deserialize(text)
+
     def test_duplicate_attribute_rejected(self):
         with pytest.raises(ParseError):
             deserialize(

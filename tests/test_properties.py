@@ -11,9 +11,10 @@ from prunekit.accounting import structure_measures
 from prunekit.engine import forward, init_weights, trainable_params
 from prunekit.graph import TensorShape, infer_shapes
 from prunekit.optim import OptimConfig, Optimizer, load_checkpoint, save_checkpoint
-from prunekit.pruner import fold_gates, rewrite
+from prunekit.errors import EmptyNetwork
+from prunekit.pruner import alive_channels, fold_gates, rewrite
 from prunekit.relax import MaskSet, channel_totals, gate_scales, snapshot
-from prunekit.subgraph import identify_subgraphs
+from prunekit.subgraph import ROLE_BN, ROLE_CONV_OUT, ROLE_FC_OUT, identify_subgraphs
 
 from gen import gated_setups, random_gates, random_masks
 
@@ -92,6 +93,45 @@ def test_unit_scales_change_nothing_and_return_channel_sums(seed, training):
         gy, pre = seen[nid], scaled.acts[nid]
         direct = [np.sum(gy[:, c] * pre[:, c], dtype=np.float64) for c in range(pre.shape[1])]
         np.testing.assert_allclose(grads[("n", nid)], direct, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 5000), survivors=st.sampled_from([0, 1]))
+def test_liveness_stays_within_masks_and_keep_is_the_producer_union(seed, survivors):
+    graph, col, weights, gates, x = gated_case(seed)
+    rng = np.random.default_rng(seed + 1)
+    masks = MaskSet(random_masks(col, rng, min_survivors=survivors), threshold=0.5)
+    alive = alive_channels(graph, col, masks)
+    on = {g.id: np.ones(g.width, dtype=bool) for g in col.groups}
+    on.update((gid, m.astype(bool)) for gid, m in masks.masks.items())
+    keep = {g.id: np.zeros(g.width, dtype=bool) for g in col.groups}
+    for nid, flags in alive.items():
+        offset = 0
+        for seg in col.node_segments[nid]:
+            part = flags[offset:offset + seg.width]
+            assert not np.any(part & ~on[seg.group]), nid
+            keep[seg.group] |= part
+            offset += seg.width
+
+    # The channels a group's producing members (and, for the entry's group,
+    # the entry) carry: the rule the segment union replaces.
+    producers = {g.id: np.zeros(g.width, dtype=bool) for g in col.groups}
+    producers[col.node_segments[graph.entry][0].group] |= alive[graph.entry]
+    for g in col.groups:
+        for m in g.members:
+            if m.role in (ROLE_CONV_OUT, ROLE_FC_OUT, ROLE_BN):
+                producers[g.id] |= alive[m.node][m.offset:m.offset + g.width]
+    for g in col.groups:
+        assert np.array_equal(keep[g.id], producers[g.id]), g.id
+
+    shapes = infer_shapes(graph, TensorShape(x.shape[0], x.shape[1], x.shape[2:]))
+    try:
+        result = rewrite(graph, col, weights, gates, masks, shapes)
+    except EmptyNetwork:
+        return
+    assert {(r.group, r.kept) for r in result.report.groups} == {
+        (g.id, int(keep[g.id].sum())) for g in col.prunable_groups()
+    }
 
 
 def report_text(graph, coloring, gates, shapes):

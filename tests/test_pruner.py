@@ -172,6 +172,27 @@ class TestRewrite:
         assert residual == 0.0  # removal of dead branches is exact
         assert validate(result.graph, result.shapes[result.graph.entry]) == []
 
+    def test_entry_channels_survive_a_dead_residual_branch(self):
+        # in -> c1 -> c2 -> Sum(in, c2) -> c3: c2's group is the entry's
+        # (merged by the Sum), and killing c1 starves c2. The entry channels
+        # still reach c3 through the Sum, so its kernel keeps every column.
+        nodes = [
+            simple_node("in", OpKind.INPUT), conv_node("c1", 2, 3, 1), conv_node("c2", 3, 2, 1),
+            simple_node("s", OpKind.SUM), conv_node("c3", 2, 4, 1), simple_node("out", OpKind.OUTPUT),
+        ]
+        edges = [("in", "c1", 0), ("c1", "c2", 0), ("in", "s", 0), ("c2", "s", 1),
+                 ("s", "c3", 0), ("c3", "out", 0)]
+        graph = Graph({n.id: n for n in nodes}, tuple(edges), "in", "out")
+        entry = TensorShape(2, 2, (4, 4))
+        shapes = infer_shapes(graph, entry)
+        col = identify_subgraphs(graph, shapes)
+        weights = init_weights(graph, shapes, np.random.default_rng(0))
+        masks = MaskSet({producer_group(col, "c1"): np.zeros(3, dtype=np.int8)}, threshold=0.5)
+        result = rewrite(graph, col, weights, None, masks, shapes)
+        assert result.report.removed_nodes == ("c1", "c2", "s")
+        assert result.weights["c3"]["kernel"].shape == (4, 2, 1, 1)
+        assert verify_equivalence(graph, col, weights, None, masks, result, entry) == 0.0
+
     def test_all_dead_network_raises(self):
         graph, entry, shapes, col, weights, gates = model_setup()
         masks = MaskSet(

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import csv
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +115,36 @@ class TestWorkflowConfig:
     def test_from_dict_names_bad_nested_keys(self, raw, named):
         with pytest.raises(InvalidConfig, match=re.escape(named)):
             WorkflowConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("raw, named", [
+        ({"objective": "flops"}, "objective"),
+        ({"steps": [{"epochs": "two"}]}, "steps[0].epochs"),
+        ({"optimizer": {"lr": "fast"}}, "optimizer.lr"),
+        ({"batch_size": "big"}, "batch_size"),
+        ({"seed": None}, "seed"),
+        ({"steps": "warmup"}, "steps"),
+        ({"steps": [{"prune": "yes", "threshold": 0.1}]}, "steps[0].prune"),
+        ({"model_args": [4]}, "model_args"),
+        ({"objective": {"target": None}}, "objective.target"),
+    ])
+    def test_from_dict_names_badly_typed_values(self, raw, named):
+        with pytest.raises(InvalidConfig, match=re.escape(named) + " must be"):
+            WorkflowConfig.from_dict(raw)
+
+    def test_from_dict_accepts_ints_for_floats_and_none_where_allowed(self):
+        config = WorkflowConfig.from_dict({
+            "train_fraction": 1, "out_dir": None,
+            "steps": [{"threshold": None, "lr": 1}],
+            "optimizer": {"lr": 1},
+        })
+        assert config.train_fraction == 1 and config.out_dir is None
+        assert config.steps[0].lr == 1 and config.optimizer.lr == 1
+
+    def test_train_reports_badly_typed_value_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"seed": None}))
+        assert cli_main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be int")
 
     def test_train_reports_bad_nested_key_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "config.yaml"
@@ -258,7 +290,7 @@ class TestRunArtifacts:
             "metrics.csv",
             "step_00.npz",
             "step_01.npz",
-            "prune_step_01.txt",
+            "prune_step_01.json",
             "final_graph.txt",
             "final_model.npz",
             "gates_snapshot.txt",
@@ -307,6 +339,17 @@ class TestRunArtifacts:
             result.graph, result.coloring, None, result.shapes, baseline=result.baseline
         )
         assert 0.0 < against_baseline.sigma_p < 1.0
+
+    def test_readme_artifact_table_names_every_written_file(self, mini_run):
+        # NN in a table entry stands for a two-digit step number.
+        _, _, out_dir = mini_run
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("\n## Artifacts\n", 1)[1].split("\n## ", 1)[0]
+        names = re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)
+        patterns = [re.compile(re.escape(n).replace("NN", r"\d{2}")) for n in names]
+        written = sorted(path.name for path in out_dir.iterdir())
+        assert [f for f in written if not any(p.fullmatch(f) for p in patterns)] == []
+        assert [n for n, p in zip(names, patterns) if not any(map(p.fullmatch, written))] == []
 
     def test_final_graph_document_is_valid(self, mini_run):
         _, result, out_dir = mini_run
@@ -487,6 +530,45 @@ def test_corrupted_rewrite_stops_the_run(tmp_path, monkeypatch, shift):
         run(config, *mini_data(config))
     # Rows written before the failed check stay in the file.
     assert {row["step"] for row in read_rows_without_timing(tmp_path / "metrics.csv")} == {"0"}
+
+
+def test_each_cut_writes_its_report_as_one_json_record(tmp_path, monkeypatch):
+    cuts = []
+
+    def recording_rewrite(graph, coloring, *args):
+        result = pruner.rewrite(graph, coloring, *args)
+        cuts.append((coloring, result.report))
+        return result
+
+    monkeypatch.setattr(workflow, "rewrite", recording_rewrite)
+    steps = [
+        StepSpec(epochs=1),
+        StepSpec(prune=True, threshold=0.5, epochs=1),
+        StepSpec(prune=True, threshold=0.73, epochs=0),
+    ]
+    config = mini_config(tmp_path, steps=steps)
+    result = run(config, *mini_data(config))
+    paths = sorted(tmp_path.glob("prune_step_*.json"))
+    assert [path.name for path in paths] == ["prune_step_01.json", "prune_step_02.json"]
+    prune_rows = [r for r in csv.DictReader(open(tmp_path / "metrics.csv")) if r["phase"] == "prune"]
+    for path, row, (coloring, report) in zip(paths, prune_rows, cuts, strict=True):
+        record = json.loads(path.read_text())
+        assert record == {
+            "threshold": report.threshold,
+            "groups": [{"group": g.group, "width": g.width, "kept": g.kept} for g in report.groups],
+            "removed_nodes": list(report.removed_nodes),
+            "params_before": report.params_before,
+            "flops_before": report.flops_before,
+            "params_after": report.params_after,
+            "flops_after": report.flops_after,
+            "residual": report.residual,
+            "output_max": report.output_max,
+            "notes": list(report.notes),
+        }
+        assert [g["group"] for g in record["groups"]] == [g.id for g in coloring.prunable_groups()]
+        assert record["residual"] <= workflow.REWRITE_RTOL * record["output_max"]
+        assert row["sigma_p"] == f"{record['params_after'] / result.baseline[0]:.6f}"
+        assert row["sigma_q"] == f"{record['flops_after'] / result.baseline[1]:.6f}"
 
 
 # -- command line ---------------------------------------------------------------------
