@@ -550,7 +550,8 @@ def test_each_cut_writes_its_report_as_one_json_record(tmp_path, monkeypatch):
     result = run(config, *mini_data(config))
     paths = sorted(tmp_path.glob("prune_step_*.json"))
     assert [path.name for path in paths] == ["prune_step_01.json", "prune_step_02.json"]
-    prune_rows = [r for r in csv.DictReader(open(tmp_path / "metrics.csv")) if r["phase"] == "prune"]
+    with open(tmp_path / "metrics.csv") as fh:
+        prune_rows = [r for r in csv.DictReader(fh) if r["phase"] == "prune"]
     for path, row, (coloring, report) in zip(paths, prune_rows, cuts, strict=True):
         record = json.loads(path.read_text())
         assert record == {
