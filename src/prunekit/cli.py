@@ -8,8 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .accounting import structure_measures
 from .data import generate_synthetic, split
 from .errors import CheckpointError, PrunekitError
@@ -17,7 +15,7 @@ from .graph import TensorShape, infer_shapes, validate
 from .graphio import serialize
 from .models import build_reference_model
 from .optim import load_checkpoint
-from .relax import channel_totals, export_snapshot, snapshot
+from .relax import channel_totals, export_snapshot, gate_scales, snapshot
 from .subgraph import identify_subgraphs
 from .workflow import WorkflowConfig, evaluate, run
 
@@ -47,11 +45,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     full = generate_synthetic(args.dataset, args.size, seed=args.seed)
     _, test_set = split(full, args.train_fraction, seed=args.seed)
-    coloring = None
-    if ckpt.gates is not None:
-        shape = TensorShape(1, test_set.inputs.shape[1], tuple(test_set.inputs.shape[2:]))
-        coloring = identify_subgraphs(ckpt.graph, infer_shapes(ckpt.graph, shape))
-    score = evaluate(ckpt.graph, ckpt.weights, test_set, coloring=coloring, gates=ckpt.gates)
+    shape = TensorShape(1, test_set.inputs.shape[1], tuple(test_set.inputs.shape[2:]))
+    coloring = identify_subgraphs(ckpt.graph, infer_shapes(ckpt.graph, shape))
+    scales = gate_scales(coloring, snapshot(ckpt.gates), test_set.inputs.dtype)
+    score = evaluate(ckpt.graph, ckpt.weights, test_set, node_scales=scales)
     print(f"score {score:.4f} on {len(test_set)} held-out samples")
     return 0
 
@@ -66,7 +63,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         entry = TensorShape(1, dims[0], tuple(dims[1:]))
     shapes = infer_shapes(ckpt.graph, entry)
     coloring = identify_subgraphs(ckpt.graph, shapes)
-    widths = channel_totals(coloring, snapshot(ckpt.gates)) if ckpt.gates is not None else None
+    widths = channel_totals(coloring, snapshot(ckpt.gates))
     report = structure_measures(ckpt.graph, coloring, widths, shapes)
     print(report.to_text(), end="")
     return 0
@@ -74,7 +71,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_export_gates(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.gates is None or not ckpt.gates.values:
+    if not ckpt.gates.values:
         print("checkpoint holds no gates", file=sys.stderr)
         return 1
     text = export_snapshot(ckpt.gates)

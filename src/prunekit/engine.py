@@ -117,7 +117,7 @@ def init_weights(
     return weights
 
 
-def trainable_params(weights: Weights, gates: GateSet | None = None) -> dict[ParamKey, np.ndarray]:
+def trainable_params(weights: Weights, gates: GateSet) -> dict[ParamKey, np.ndarray]:
     """Flat, deterministically ordered view of every trainable array
     (BatchNorm running statistics are state, not parameters)."""
     params: dict[ParamKey, np.ndarray] = {}
@@ -126,9 +126,8 @@ def trainable_params(weights: Weights, gates: GateSet | None = None) -> dict[Par
             if name.startswith("running_"):
                 continue
             params[("w", nid, name)] = weights[nid][name]
-    if gates is not None:
-        for gid in sorted(gates.values):
-            params[("s", gid)] = gates.values[gid]
+    for gid in sorted(gates.values):
+        params[("s", gid)] = gates.values[gid]
     return params
 
 

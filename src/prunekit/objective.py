@@ -43,7 +43,8 @@ class ObjectiveConfig:
 
     ``mu`` and ``lam`` may be plain floats, ``"auto"`` (resolved by the
     workflow to the scale of the task loss after the warm-up step), or
-    piecewise-constant schedules given as ``[(step, value), ...]``.
+    piecewise-constant schedules given as ``[(step, value), ...]``; no other
+    string is accepted.
     """
 
     mode: str = MODE_SPARSITY
@@ -56,12 +57,16 @@ class ObjectiveConfig:
             raise InvalidConfig(f"unknown objective mode {self.mode!r}")
         if not (0.0 <= self.target <= 1.0):
             raise InvalidConfig(f"target fraction must lie in [0, 1], got {self.target}")
+        for name in ("mu", "lam"):
+            value = getattr(self, name)
+            if isinstance(value, str) and value != "auto":
+                raise InvalidConfig(f"objective.{name} must be a number, a schedule or "
+                                    f"'auto', got {value!r}")
 
-    def resolved(self, mu: float, lam: float) -> "ObjectiveConfig":
-        """Copy with ``"auto"`` placeholders replaced by concrete weights."""
-        new_mu = mu if isinstance(self.mu, str) else self.mu
-        new_lam = lam if isinstance(self.lam, str) else self.lam
-        return replace(self, mu=new_mu, lam=new_lam)
+    def resolved(self, scale: float) -> "ObjectiveConfig":
+        """Copy with each ``"auto"`` weight replaced by ``scale``."""
+        return replace(self, mu=scale if self.mu == "auto" else self.mu,
+                       lam=scale if self.lam == "auto" else self.lam)
 
 
 @dataclass(frozen=True)

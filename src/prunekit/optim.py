@@ -15,13 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .engine import ParamKey, Weights
 from .errors import CheckpointError, InvalidConfig, NonFiniteGradient
 from .graph import Graph
 from .graphio import deserialize, serialize
 from .relax import GateSet
-
-ParamKey = tuple
-Weights = dict[str, dict[str, np.ndarray]]
 
 CHECKPOINT_VERSION = 1
 
@@ -122,7 +120,7 @@ class Optimizer:
 class Checkpoint:
     graph: Graph
     weights: Weights
-    gates: GateSet | None
+    gates: GateSet  # empty when the archive holds no gate record
     opt_state: dict | None
     rng_state: dict | None
     meta: dict = field(default_factory=dict)
@@ -143,6 +141,8 @@ def save_checkpoint(
     Array names in the archive are positional (``w0001`` ...); the JSON
     metadata block carries the index that maps them back to node ids, group
     ids and optimizer slots, so arbitrary node-id strings round-trip safely.
+    ``gates=None`` writes no gate record (a folded model); such a checkpoint
+    loads with an empty gate set.
     """
     arrays: dict[str, np.ndarray] = {}
     header: dict = {
@@ -219,7 +219,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         for i, (nid, name) in enumerate(header["w_index"]):
             weights.setdefault(nid, {})[name] = arrays[f"w{i:05d}"]
 
-        gates = None
+        gates = GateSet(values={})
         if "g_index" in header:
             values = {int(gid): arrays[f"g{i:05d}"] for i, gid in enumerate(header["g_index"])}
             gates = GateSet(

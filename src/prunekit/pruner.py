@@ -32,7 +32,7 @@ from .errors import (
     ShapeDrift,
 )
 from .graph import Graph, OpKind, OperatorNode, TensorShape, infer_shapes
-from .relax import GateSet, MaskSet, gate_scales, gate_sites, sigma, snapshot
+from .relax import GateSet, MaskSet, gate_scales, gate_sites, snapshot
 from .subgraph import Coloring, identify_subgraphs
 
 _CLAMPED = (OpKind.CONV, OpKind.FULLY_CONNECTED, OpKind.BATCH_NORM)
@@ -51,8 +51,7 @@ def threshold_masks(gates: GateSet, tau: float, min_keep: int = 0) -> MaskSet:
     if not 0.0 <= tau < 1.0:
         raise InvalidConfig(f"threshold must lie in [0, 1), got {tau}")
     masks: dict[int, np.ndarray] = {}
-    for gid in sorted(gates.values):
-        gains = sigma(gates.values[gid], gates.steepness)
+    for gid, gains in sorted(snapshot(gates).items()):
         mask = (gains > tau).astype(np.int8)
         if min_keep and int(mask.sum()) < min_keep:
             top = np.argsort(-gains, kind="stable")[: min(min_keep, gains.size)]
@@ -106,7 +105,7 @@ def alive_channels(
 def masked_scales(
     graph: Graph,
     coloring: Coloring,
-    gates: GateSet | None,
+    gates: GateSet,
     masks: MaskSet,
 ) -> dict[str, np.ndarray]:
     """Per-node multipliers realising the masked model via ``node_scales``.
@@ -117,7 +116,7 @@ def masked_scales(
     so no shift term survives on a structurally dead channel.
     """
     alive = alive_channels(graph, coloring, masks)
-    gains = gate_scales(coloring, snapshot(gates), np.float64) if gates is not None else {}
+    gains = gate_scales(coloring, snapshot(gates), np.float64)
     scales: dict[str, np.ndarray] = {}
     for nid, flags in alive.items():
         if nid in gains:
@@ -158,7 +157,7 @@ class PruneResult:
     graph: Graph
     weights: Weights
     coloring: Coloring
-    gates: GateSet | None
+    gates: GateSet
     shapes: dict[str, TensorShape]
     report: PruneReport
 
@@ -167,7 +166,7 @@ def rewrite(
     graph: Graph,
     coloring: Coloring,
     weights: Weights,
-    gates: GateSet | None,
+    gates: GateSet,
     masks: MaskSet,
     shapes: dict[str, TensorShape],
 ) -> PruneResult:
@@ -176,7 +175,8 @@ def rewrite(
     Kept channels are sliced out of every kernel and per-channel array; nodes
     whose outputs are entirely dead are removed; joins left with one operand
     are spliced away; anything no longer on a path to the exit is dropped.
-    Gate scores for surviving channels carry over to the new graph's groups.
+    Gate scores for surviving channels carry over to the new graph's groups;
+    an ungated network (empty ``gates``) stays ungated.
     """
     alive = alive_channels(graph, coloring, masks)
     if not np.any(alive[graph.exit]):
@@ -287,13 +287,12 @@ def rewrite(
 
     # Carry surviving gate scores over to the new grouping, located through
     # each new group's first gate site.
-    new_gates: GateSet | None = None
-    if gates is not None:
+    new_values: dict[int, np.ndarray] = {}
+    if gates.values:
         old_sites = gate_sites(coloring)
         first_site: dict[int, str] = {}
         for nid, gid in gate_sites(new_coloring).items():
             first_site.setdefault(gid, nid)
-        new_values: dict[int, np.ndarray] = {}
         for gid, site in first_site.items():
             group = new_coloring.group(gid)
             old_gid = old_sites.get(site)
@@ -307,14 +306,15 @@ def rewrite(
                     f"{carried.shape[0]}, expected {group.width}"
                 )
             new_values[group.id] = carried.copy()
-        new_gates = GateSet(
-            values=new_values, steepness=gates.steepness, stiffening_sd=gates.stiffening_sd
-        )
+    new_gates = GateSet(
+        values=new_values, steepness=gates.steepness, stiffening_sd=gates.stiffening_sd
+    )
 
-    # Integer structure counts at the binary masks (old graph, effective
-    # widths) and of the rewritten graph.
+    # Integer structure counts of the kept operators at the binary masks (old
+    # graph, effective widths) and of the rewritten graph.
     sums = [len(keep[g.id]) for g in coloring.groups]
     before = structure_measures(graph, coloring, sums, shapes)
+    kept_before = [before.per_op[nid] for nid in kept_ids]
     after = structure_measures(new_graph, new_coloring, None, new_shapes)
 
     report = PruneReport(
@@ -324,8 +324,8 @@ def rewrite(
             for g in coloring.prunable_groups()
         ],
         removed_nodes=tuple(sorted(removed)),
-        params_before=before.relaxed_params,
-        flops_before=before.relaxed_flops,
+        params_before=sum(cost.params for cost in kept_before),
+        flops_before=sum(cost.flops for cost in kept_before),
         params_after=after.relaxed_params,
         flops_after=after.relaxed_flops,
         notes=after.notes,
@@ -344,7 +344,7 @@ def verify_equivalence(
     graph: Graph,
     coloring: Coloring,
     weights: Weights,
-    gates: GateSet | None,
+    gates: GateSet,
     masks: MaskSet,
     result: PruneResult,
     input_shape: TensorShape,
@@ -361,10 +361,7 @@ def verify_equivalence(
     """
     rng = np.random.default_rng(seed)
     scales = masked_scales(graph, coloring, gates, masks)
-    new_scales = (
-        gate_scales(result.coloring, snapshot(result.gates), np.float32)
-        if result.gates is not None else None
-    )
+    new_scales = gate_scales(result.coloring, snapshot(result.gates), np.float32)
     worst = 0.0
     ref_max = 0.0
     for _ in range(probes):
@@ -408,10 +405,7 @@ def fold_gates(
     for group in coloring.prunable_groups():
         if group.id in gates.values and group.id not in sites.values():
             raise NoFoldTarget(f"group {group.id} has no producing operator to fold into")
-    for nid, gid in sites.items():
-        if gid not in gates.values:
-            continue
-        gains = sigma(gates.values[gid], gates.steepness)
+    for nid, gains in gate_scales(coloring, snapshot(gates), np.float64).items():
         arrs = new_weights[nid]
         if graph.nodes[nid].kind == OpKind.CONV:
             arrs["kernel"] *= gains[:, None, None, None].astype(arrs["kernel"].dtype)

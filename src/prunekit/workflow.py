@@ -37,7 +37,7 @@ from .data import (
     split,
 )
 from .engine import Weights, forward, init_weights, trainable_params
-from .errors import InvalidConfig, ResumeMismatch, RewriteMismatch
+from .errors import CheckpointError, InvalidConfig, ResumeMismatch, RewriteMismatch
 from .graph import Graph, TensorShape, infer_shapes
 from .models import build_reference_model
 from .objective import ObjectiveConfig, Schedule, confusion_counts, mean_iou, total_loss
@@ -210,15 +210,14 @@ def _conforms(value, hint) -> bool:
 class WorkflowResult:
     graph: Graph
     weights: Weights  # gains folded in; ready to run without gates
-    gates: GateSet | None  # pre-fold gates (None when nothing was prunable)
+    gates: GateSet  # pre-fold gates (empty when nothing was prunable)
     coloring: Coloring
     shapes: dict[str, TensorShape]
     baseline: tuple[float, float]
     scores: list[tuple[int, float]]
     metrics_path: Path | None
     out_dir: Path | None
-    resolved_mu: float | None = None
-    resolved_lam: float | None = None
+    loss_scale: float | None = None  # warm-up task loss that "auto" weights take
 
 
 def evaluate(
@@ -226,18 +225,18 @@ def evaluate(
     weights: Weights,
     dataset: LabeledDataset,
     *,
-    coloring: Coloring | None = None,
-    gates: GateSet | None = None,
+    node_scales: dict[str, np.ndarray] | None = None,
     batch_size: int = 256,
 ) -> float:
     """Test score in evaluation mode: top-1 accuracy for classification,
-    mean IoU (over classes that occur) for dense labels."""
+    mean IoU (over classes that occur) for dense labels. ``node_scales``
+    are passed to :func:`~prunekit.engine.forward` (a gated network's
+    ``gate_scales``)."""
     dense = dataset.dense
-    scales = None if gates is None else gate_scales(coloring, snapshot(gates), dataset.inputs.dtype)
     inter = p_count = t_count = None
     hits = 0
     for bx, by in batches(dataset, batch_size, shuffle=False):
-        out = forward(graph, weights, bx, node_scales=scales, training=False).output
+        out = forward(graph, weights, bx, node_scales=node_scales, training=False).output
         pred = np.argmax(out, axis=1)
         if dense:
             i, p, t = confusion_counts(pred, by, dataset.classes)
@@ -342,8 +341,7 @@ def run(
     rng = np.random.default_rng(config.seed)
     start_step = 0
     global_epoch = 0
-    resolved_mu: float | None = None
-    resolved_lam: float | None = None
+    loss_scale: float | None = None
     scores: list[tuple[int, float]] = []
 
     if resume_from is None:
@@ -363,6 +361,10 @@ def run(
     else:
         ckpt = load_checkpoint(resume_from)
         meta = ckpt.meta
+        for key in ("next_step", "global_epoch", "baseline", "loss_scale"):
+            if key not in meta:
+                raise CheckpointError(f"checkpoint {resume_from} lacks run metadata {key!r}; "
+                                      "resume from a step_NN.npz")
         start_step = int(meta["next_step"])
         _check_resume_config(meta.get("config", {}), config, start_step)
         graph = ckpt.graph
@@ -377,22 +379,13 @@ def run(
             rng.bit_generator.state = ckpt.rng_state
         global_epoch = int(meta["global_epoch"])
         baseline = (float(meta["baseline"][0]), float(meta["baseline"][1]))
-        resolved_mu = meta.get("resolved_mu")
-        resolved_lam = meta.get("resolved_lam")
+        loss_scale = meta["loss_scale"]
         scores = [(int(s), float(v)) for s, v in meta.get("scores", [])]
 
     metrics = _MetricsWriter(
         out_dir / "metrics.csv" if out_dir else None,
         resume_step=start_step if resume_from is not None else None,
     )
-
-    def current_objective() -> ObjectiveConfig:
-        if isinstance(config.objective.mu, str) or isinstance(config.objective.lam, str):
-            if resolved_mu is None:
-                # Warm-up: pressure off until the loss scale is known.
-                return config.objective.resolved(0.0, 0.0)
-            return config.objective.resolved(resolved_mu, resolved_lam)
-        return config.objective
 
     first_train_step = next(
         (i for i, s in enumerate(config.steps) if s.train and s.epochs > 0), None
@@ -402,7 +395,7 @@ def run(
         spec = config.steps[step_index]
         step_t0 = time.perf_counter()
 
-        if spec.prune and gates is not None and gates.values:
+        if spec.prune and gates.values:
             masks = threshold_masks(gates, spec.threshold, config.min_keep)
             result = rewrite(graph, coloring, weights, gates, masks, shapes)
             verify_shape = TensorShape(2, entry_shape.channels, entry_shape.spatial)
@@ -433,7 +426,9 @@ def run(
             )
 
         if spec.train and spec.epochs > 0:
-            obj = current_objective()
+            # "auto" weights, and with them the pressure, are off until the
+            # warm-up has measured the loss scale.
+            obj = config.objective.resolved(0.0 if loss_scale is None else loss_scale)
             for _ in range(spec.epochs):
                 epoch_losses: list[float] = []
                 iteration = 0
@@ -459,20 +454,20 @@ def run(
                     )
                     iteration += 1
                 global_epoch += 1
-            if step_index == first_train_step and resolved_mu is None and epoch_losses:
+            if step_index == first_train_step and loss_scale is None and epoch_losses:
                 # Scale both pressure terms to the task loss level reached by
                 # the warm-up, so neither drowns the other from the start.
-                scale = float(np.mean(epoch_losses))
-                resolved_mu = scale
-                resolved_lam = scale
+                loss_scale = float(np.mean(epoch_losses))
 
         if spec.test:
+            gains = snapshot(gates)
             score = evaluate(
                 graph, weights, test_set,
-                coloring=coloring, gates=gates, batch_size=max(config.batch_size, 128),
+                node_scales=gate_scales(coloring, gains, test_set.inputs.dtype),
+                batch_size=max(config.batch_size, 128),
             )
             scores.append((step_index, score))
-            widths = channel_totals(coloring, snapshot(gates)) if gates is not None else None
+            widths = channel_totals(coloring, gains)
             report = structure_measures(graph, coloring, widths, shapes, baseline=baseline)
             metrics.write(
                 step=step_index, epoch=global_epoch, iteration=0, phase="test",
@@ -490,23 +485,20 @@ def run(
                     "global_epoch": global_epoch,
                     "baseline": list(baseline),
                     "entry_shape": entry_dims,
-                    "resolved_mu": resolved_mu,
-                    "resolved_lam": resolved_lam,
+                    "loss_scale": loss_scale,
                     "scores": [[s, v] for s, v in scores],
                     "config": _config_record(config),
                 },
             )
 
-    final_weights = weights
-    if gates is not None and gates.values:
-        final_weights = fold_gates(graph, coloring, gates, weights)
+    final_weights = fold_gates(graph, coloring, gates, weights)
     if out_dir is not None:
         graphio.save(graph, str(out_dir / "final_graph.txt"))
         save_checkpoint(
             out_dir / "final_model.npz", graph=graph, weights=final_weights,
             meta={"folded": True, "baseline": list(baseline), "entry_shape": entry_dims},
         )
-        if gates is not None and gates.values:
+        if gates.values:
             (out_dir / "gates_snapshot.txt").write_text(export_snapshot(gates))
 
     return WorkflowResult(
@@ -519,6 +511,5 @@ def run(
         scores=scores,
         metrics_path=metrics.path,
         out_dir=out_dir,
-        resolved_mu=resolved_mu,
-        resolved_lam=resolved_lam,
+        loss_scale=loss_scale,
     )

@@ -329,7 +329,7 @@ def test_criterion_4_masked_residual_branch_is_spliced_away():
     )
 
     weights = init_weights(graph, shapes, np.random.default_rng(7))
-    result = rewrite(graph, coloring, weights, None, masks, shapes)
+    result = rewrite(graph, coloring, weights, GateSet(values={}), masks, shapes)
 
     assert set(result.report.removed_nodes) == {"b1", "bn1", "brelu", "b2", "bn2", "sum"}
     assert set(result.graph.nodes) == {"in", "stem", "srelu", "relu2", "head", "out"}
@@ -337,7 +337,7 @@ def test_criterion_4_masked_residual_branch_is_spliced_away():
 
     # The dead branch contributes exact zeros, so the spliced network must
     # reproduce the masked original to the last bit.
-    scales = masked_scales(graph, coloring, None, masks)
+    scales = masked_scales(graph, coloring, GateSet(values={}), masks)
     probe_rng = np.random.default_rng(11)
     for _ in range(4):
         probe = probe_rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
@@ -429,7 +429,7 @@ def test_criterion_5_classification_prunes_deeply_without_accuracy_loss(
     for key in first.opt_state["slots"]:
         for slot, arr in first.opt_state["slots"][key].items():
             assert np.array_equal(arr, second.opt_state["slots"][key][slot]), (key, slot)
-    for field in ("next_step", "global_epoch", "baseline", "resolved_mu", "resolved_lam"):
+    for field in ("next_step", "global_epoch", "baseline", "loss_scale"):
         assert first.meta[field] == second.meta[field], field
 
 

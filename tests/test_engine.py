@@ -25,7 +25,7 @@ from prunekit.graph import (
     infer_shapes,
     simple_node,
 )
-from prunekit.relax import gate_scales, score_grads, sigma, snapshot
+from prunekit.relax import GateSet, gate_scales, score_grads, sigma, snapshot
 from prunekit.subgraph import identify_subgraphs
 
 from gen import gated_setups, grouped_setup, random_gates
@@ -380,18 +380,16 @@ class TestEdgeShapes:
 
 
 class TestGradients:
-    def loss_and_grads(self, graph, weights, x, probe, *, training, coloring=None, gates=None):
-        gains = snapshot(gates) if gates is not None else None
-        scales = gate_scales(coloring, gains, x.dtype) if gates is not None else None
+    def loss_and_grads(self, graph, weights, x, probe, *, training, coloring, gates):
+        gains = snapshot(gates)
+        scales = gate_scales(coloring, gains, x.dtype)
         run = forward(graph, copy.deepcopy(weights), x, node_scales=scales, training=training)
-        grads = run.backward(probe)
-        if gates is not None:
-            grads = score_grads(coloring, gates, gains, grads)
+        grads = score_grads(coloring, gates, gains, run.backward(probe))
         return float(np.sum(run.output * probe)), grads
 
     def fd_check(self, seed, training, with_gates):
         graph, shapes, col, weights, x = run_setup(seed)
-        gates = None
+        gates = GateSet(values={})
         if with_gates:
             gates = random_gates(col, np.random.default_rng(seed + 7), dtype=np.float64)
             if not gates.values:

@@ -136,10 +136,12 @@ class TestSchedules:
         with pytest.raises(InvalidConfig):
             ObjectiveConfig(target=1.5)
         cfg = ObjectiveConfig(mode=MODE_FLOPS, target=0.4)
-        resolved = cfg.resolved(0.7, 0.9)
-        assert resolved.mu == 0.7 and resolved.lam == 0.9
-        explicit = ObjectiveConfig(mu=0.2, lam=0.3).resolved(9.0, 9.0)
+        resolved = cfg.resolved(0.7)
+        assert resolved.mu == 0.7 and resolved.lam == 0.7
+        explicit = ObjectiveConfig(mu=0.2, lam=0.3).resolved(9.0)
         assert explicit.mu == 0.2 and explicit.lam == 0.3  # explicit wins
+        mixed = ObjectiveConfig(mu="auto", lam=[(0, 0.3)]).resolved(2.0)
+        assert mixed.mu == 2.0 and mixed.lam == [(0, 0.3)]
 
 
 class TestArchitectureTerms:

@@ -188,10 +188,15 @@ class TestRewrite:
         col = identify_subgraphs(graph, shapes)
         weights = init_weights(graph, shapes, np.random.default_rng(0))
         masks = MaskSet({producer_group(col, "c1"): np.zeros(3, dtype=np.int8)}, threshold=0.5)
-        result = rewrite(graph, col, weights, None, masks, shapes)
+        ungated = GateSet(values={})
+        result = rewrite(graph, col, weights, ungated, masks, shapes)
         assert result.report.removed_nodes == ("c1", "c2", "s")
         assert result.weights["c3"]["kernel"].shape == (4, 2, 1, 1)
-        assert verify_equivalence(graph, col, weights, None, masks, result, entry) == 0.0
+        assert verify_equivalence(graph, col, weights, ungated, masks, result, entry) == 0.0
+        # Before-costs count only the operators the rewrite keeps, at their
+        # kept widths, so they equal the rewritten graph's costs.
+        assert result.report.params_before == result.report.params_after
+        assert result.report.flops_before == result.report.flops_after
 
     def test_all_dead_network_raises(self):
         graph, entry, shapes, col, weights, gates = model_setup()
@@ -230,7 +235,7 @@ class TestRewrite:
         result.shapes = infer_shapes(wrong, entry)
         result.weights = init_weights(wrong, result.shapes, np.random.default_rng(1))
         result.coloring = identify_subgraphs(wrong, result.shapes)
-        result.gates = None
+        result.gates = GateSet(values={})
         with pytest.raises(ShapeDrift):
             verify_equivalence(graph, col, weights, gates, masks, result, entry, probes=1)
 
@@ -253,7 +258,7 @@ class TestMaskedScales:
         )
         gid = producer_group(col, "b2.conv1")
         masks.masks[gid][0] = 0
-        scales = masked_scales(graph, col, None, masks)
+        scales = masked_scales(graph, col, GateSet(values={}), masks)
         np.testing.assert_array_equal(
             scales["b2.conv1"], masks.masks[gid].astype(np.float64)
         )

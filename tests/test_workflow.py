@@ -15,7 +15,7 @@ from prunekit.accounting import structure_measures
 from prunekit.cli import main as cli_main
 from prunekit.data import BLOBS, SHAPES, generate_synthetic, split
 from prunekit.engine import forward
-from prunekit.errors import InvalidConfig, ResumeMismatch, RewriteMismatch
+from prunekit.errors import CheckpointError, InvalidConfig, ResumeMismatch, RewriteMismatch
 from prunekit.graph import TensorShape, infer_shapes, validate
 from prunekit.objective import ObjectiveConfig, confusion_counts, mean_iou
 from prunekit.optim import OptimConfig, load_checkpoint, save_checkpoint
@@ -126,6 +126,8 @@ class TestWorkflowConfig:
         ({"steps": [{"prune": "yes", "threshold": 0.1}]}, "steps[0].prune"),
         ({"model_args": [4]}, "model_args"),
         ({"objective": {"target": None}}, "objective.target"),
+        ({"objective": {"mu": "atuo"}}, "objective.mu"),
+        ({"objective": {"lam": "Auto"}}, "objective.lam"),
     ])
     def test_from_dict_names_badly_typed_values(self, raw, named):
         with pytest.raises(InvalidConfig, match=re.escape(named) + " must be"):
@@ -319,8 +321,7 @@ class TestRunArtifacts:
         assert warmup and all(float(r["pressure_term"]) == 0.0 for r in warmup)
         later = [r for r in body if r["phase"] == "train" and r["step"] == "1"]
         assert later and any(float(r["pressure_term"]) > 0.0 for r in later)
-        assert result.resolved_mu is not None and result.resolved_mu > 0.0
-        assert result.resolved_lam == result.resolved_mu
+        assert result.loss_scale is not None and result.loss_scale > 0.0
 
     def test_prune_row_reports_tiny_rewrite_residual(self, mini_run):
         _, _, out_dir = mini_run
@@ -360,7 +361,7 @@ class TestRunArtifacts:
     def test_final_model_runs_without_gates(self, mini_run):
         _, result, out_dir = mini_run
         ckpt = load_checkpoint(out_dir / "final_model.npz")
-        assert ckpt.gates is None
+        assert ckpt.gates.values == {}
         probe = np.random.default_rng(7).normal(size=(2, 3, 16, 16)).astype(np.float32)
         out = forward(ckpt.graph, ckpt.weights, probe, training=False).output
         again = forward(result.graph, result.weights, probe, training=False).output
@@ -404,7 +405,7 @@ class TestRunArtifacts:
         ckpt = load_checkpoint(out_dir / "step_00.npz")
         assert ckpt.meta["next_step"] == 1
         assert ckpt.meta["global_epoch"] == 1
-        assert ckpt.gates is not None
+        assert ckpt.gates.values
         assert ckpt.opt_state is not None
         assert tuple(ckpt.meta["baseline"]) == mini_run[1].baseline
 
@@ -514,6 +515,25 @@ def test_resume_refuses_a_changed_config(tmp_path):
         resume_from=checkpoint,
     )
     assert [step for step, _ in resumed.scores] == [0, 1]
+
+
+def test_resume_refuses_a_checkpoint_without_run_metadata(mini_run, tmp_path):
+    config, _, out_dir = mini_run
+    train_set, test_set = mini_data(config)
+    resumed = mini_config(tmp_path / "resumed")
+    with pytest.raises(CheckpointError, match="lacks run metadata 'next_step'"):
+        run(resumed, train_set, test_set, resume_from=out_dir / "final_model.npz")
+
+    # The earlier meta format stored one weight per "auto" key instead of
+    # the loss scale; resuming from it would leave the pressure off.
+    ckpt = load_checkpoint(out_dir / "step_00.npz")
+    meta = {k: v for k, v in ckpt.meta.items() if k != "loss_scale"}
+    meta["resolved_mu"] = meta["resolved_lam"] = ckpt.meta["loss_scale"]
+    earlier = tmp_path / "earlier_format.npz"
+    save_checkpoint(earlier, graph=ckpt.graph, weights=ckpt.weights, gates=ckpt.gates, meta=meta)
+    with pytest.raises(CheckpointError, match="lacks run metadata 'loss_scale'"):
+        run(resumed, train_set, test_set, resume_from=earlier)
+    assert not (tmp_path / "resumed" / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("shift", [1.0, np.nan])
@@ -649,7 +669,7 @@ class TestCli:
         ckpt = load_checkpoint(path)
         shapes = infer_shapes(ckpt.graph, TensorShape(1, 3, (16, 16)))
         coloring = identify_subgraphs(ckpt.graph, shapes)
-        widths = None if ckpt.gates is None else channel_totals(coloring, snapshot(ckpt.gates))
+        widths = channel_totals(coloring, snapshot(ckpt.gates))
         expected = structure_measures(ckpt.graph, coloring, widths, shapes).to_text()
         assert cli_main(["report", "--checkpoint", str(path)]) == 0
         assert capsys.readouterr().out == expected
@@ -675,6 +695,23 @@ class TestCli:
         ])
         assert code == 0
         assert out.read_text().strip()
+
+    def test_export_gates_refuses_a_folded_model(self, trained, capsys):
+        code = cli_main(["export-gates", "--checkpoint", str(trained / "final_model.npz")])
+        assert code == 1
+        assert capsys.readouterr().err == "checkpoint holds no gates\n"
+
+    def test_train_refuses_to_resume_from_a_folded_model(self, mini_run, capsys, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({"dataset_size": 40, "steps": [{"epochs": 1}]}))
+        code = cli_main([
+            "train", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+            "--resume", str(mini_run[2] / "final_model.npz"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lacks run metadata 'next_step'" in err
 
     def test_missing_checkpoint_is_a_clean_error(self, capsys, tmp_path):
         code = cli_main(["eval", "--checkpoint", str(tmp_path / "nope.npz")])
