@@ -5,6 +5,20 @@ The engine walks a graph in topological order computing numpy activations
 replays the tape in reverse, accumulating gradients for weights, node scales
 and (additively, for fan-out) intermediate activations.
 
+Lifetimes: ``forward`` drops each activation from its working dict as soon
+as its last consumer has run, and ``Run`` keeps only the output and the
+tape, so an activation outlives its consumers only where a tape record holds
+what backward reads. Each record keeps no more than its backward reads:
+Convolution its padded input planes, FullyConnected its input, BatchNorm the
+centred input, ReLU its output, MaxPool its input and output, Product its
+inputs, and Sum, Concat and Upsample nothing but widths and indices.
+``forward(..., tape=False)`` drops each op's backward as soon as the op
+returns, so such a pass holds only the activations still to be consumed;
+``evaluate`` and ``verify_equivalence`` run that way, and backward on such a
+run raises ``StaleTape``. ``tape`` is independent of ``training``: an
+eval-mode pass can still be taped and differentiated. ``Run.backward``
+releases each record once it has replayed it.
+
 Channel scaling has one input, ``forward(node_scales={node_id: vector})``:
 each named node's output is multiplied by its per-channel vector, and the
 node's own tape record keeps the vector and the unscaled output. Backward
@@ -52,7 +66,7 @@ backward takes the two channel sums ``dgamma`` and ``dbeta`` and forms
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -136,17 +150,19 @@ def trainable_params(weights: Weights, gates: GateSet) -> dict[ParamKey, np.ndar
 
 @dataclass
 class Run:
-    """One forward execution: activations plus the tape for backward."""
+    """One forward execution: its output plus the tape for backward (None
+    for a ``tape=False`` run)."""
 
     graph: Graph
-    acts: dict[str, np.ndarray]
     output: np.ndarray
-    _tape: list[_Record] = field(default_factory=list)
+    _tape: list[_Record] | None
     _consumed: bool = False
 
     def backward(self, output_grad: np.ndarray) -> dict[ParamKey, np.ndarray]:
         """Accumulate gradients of a scalar loss whose gradient with respect
         to the run's output is ``output_grad``. Single use per run."""
+        if self._tape is None:
+            raise StaleTape("this run was recorded with tape=False")
         if self._consumed:
             raise StaleTape("this run's tape was already consumed by backward()")
         self._consumed = True
@@ -157,7 +173,11 @@ class Run:
             )
         act_grads: dict[str, np.ndarray] = {self.graph.exit: output_grad}
         param_grads: dict[ParamKey, np.ndarray] = {}
-        for out_key, in_keys, fn, scale in reversed(self._tape):
+        tape = self._tape
+        while tape:
+            # Popping releases each record (and what its backward holds)
+            # once it has been replayed.
+            out_key, in_keys, fn, scale = tape.pop()
             gy = act_grads.pop(out_key, None)
             if gy is None:
                 continue
@@ -203,23 +223,34 @@ def forward(
     *,
     node_scales: dict[str, np.ndarray] | None = None,
     training: bool = False,
+    tape: bool = True,
 ) -> Run:
     """Execute the graph on a batch.
 
     ``node_scales`` multiplies the named nodes' outputs by per-channel
     vectors (cast to the activation dtype); backward returns each vector's
     gradient under ``("n", node_id)``. In training mode BatchNorm uses batch
-    statistics and updates its running estimates in place.
+    statistics and updates its running estimates in place. ``tape=False``
+    records no tape: the run's ``backward`` raises ``StaleTape``, and the
+    pass holds only the activations that are still to be consumed.
     """
     x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise NonFiniteTensor("input tensor contains NaN or Inf")
 
     scales = node_scales or {}
+    order = graph.topo_order()
+    # Index of each activation's last consumer; the exit outlives the pass
+    # and an activation nothing consumes is dropped where it is made.
+    last_use = {nid: i for i, nid in enumerate(order)}
+    for i, nid in enumerate(order):
+        for p in graph.inputs(nid):
+            last_use[p] = i
+    last_use[graph.exit] = len(order)
     acts: dict[str, np.ndarray] = {}
-    tape: list[_Record] = []
+    records: list[_Record] | None = [] if tape else None
 
-    for nid in graph.topo_order():
+    for i, nid in enumerate(order):
         node = graph.nodes[nid]
         producers = graph.inputs(nid)
         if node.kind in (OpKind.CONV, OpKind.FULLY_CONNECTED, OpKind.BATCH_NORM):
@@ -227,7 +258,11 @@ def forward(
                 raise MissingWeights(f"no weights for node {nid!r}")
 
         xs = [acts[p] for p in producers]
+        for p in producers:
+            if last_use[p] == i:
+                acts.pop(p, None)
         y, fn = _OP_TABLE[node.kind](node, xs, weights.get(nid), x, training)
+        del xs
         scale = None
         if nid in scales:
             vec = scales[nid].astype(y.dtype, copy=False)
@@ -237,10 +272,14 @@ def forward(
                 )
             scale = (vec, y)
             y = y * _cshape(vec, y.ndim)
-        tape.append((nid, producers, fn, scale))
-        acts[nid] = y
+        if records is not None:
+            records.append((nid, producers, fn, scale))
+        if last_use[nid] > i:
+            acts[nid] = y
+        # Without a tape, this drops the op's backward and what it holds.
+        del y, fn, scale
 
-    return Run(graph=graph, acts=acts, output=acts[graph.exit], _tape=tape)
+    return Run(graph=graph, output=acts[graph.exit], _tape=records)
 
 
 # -- per-kind forward implementations -------------------------------------------
@@ -261,12 +300,11 @@ def _op_output(node, xs, w, x0, training):
 
 
 def _op_relu(node, xs, w, x0, training):
-    x = xs[0]
-    y = np.maximum(x, 0)
-    mask = x > 0
+    y = np.maximum(xs[0], 0)
 
     def fn(gy):
-        return [gy * mask], {}
+        # y > 0 exactly where x > 0, -0.0 and NaN included.
+        return [gy * (y > 0)], {}
 
     return y, fn
 
@@ -275,9 +313,10 @@ def _op_sum(node, xs, w, x0, training):
     y = xs[0].copy()
     for other in xs[1:]:
         y += other
+    n = len(xs)
 
     def fn(gy):
-        return [gy] * len(xs), {}
+        return [gy] * n, {}
 
     return y, fn
 
@@ -445,8 +484,9 @@ def _op_batchnorm(node, xs, w, x0, training):
         )
     # (b, c, spatial) view; the spatial extent is explicit so that c == 0 works.
     b, c = x.shape[:2]
-    x3 = x.reshape(b, c, int(np.prod(x.shape[2:])))
-    n = b * x3.shape[2]
+    shape, shape3 = x.shape, (b, c, int(np.prod(x.shape[2:])))
+    x3 = x.reshape(shape3)
+    n = b * shape3[2]
     if training:
         mean64 = _csum(x3, np.float64) / n
         xc = x3 - mean64.astype(x.dtype)[:, None]
@@ -464,7 +504,7 @@ def _op_batchnorm(node, xs, w, x0, training):
     y += beta[:, None]
 
     def fn(gy):
-        gy3 = gy.reshape(x3.shape)
+        gy3 = gy.reshape(shape3)
         dgamma = np.einsum("bcs,bcs->c", gy3, xc, dtype=np.float64) * inv
         dbeta = _csum(gy3, np.float64)
         if training:
@@ -477,12 +517,12 @@ def _op_batchnorm(node, xs, w, x0, training):
             dx *= scale
         else:
             dx = gy3 * scale
-        return [dx.reshape(x.shape)], {
+        return [dx.reshape(shape)], {
             ("w", node.id, "gamma"): dgamma.astype(gamma.dtype),
             ("w", node.id, "beta"): dbeta.astype(beta.dtype),
         }
 
-    return y.reshape(x.shape), fn
+    return y.reshape(shape), fn
 
 
 def _pool_taps(f, oh, ow):
@@ -550,8 +590,10 @@ def _op_upsample(node, xs, w, x0, training):
 def _op_unknown(node, xs, w, x0, training):
     # Unknown operators execute as identity on their first input; their
     # groups are non-prunable, so this only needs to keep data flowing.
+    rest = [None] * (len(xs) - 1)
+
     def fn(gy):
-        return [gy] + [None] * (len(xs) - 1), {}
+        return [gy] + rest, {}
 
     return xs[0], fn
 

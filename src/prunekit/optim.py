@@ -8,7 +8,6 @@ RNG state and a JSON metadata block; restoring one resumes training bitwise.
 """
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,12 +184,12 @@ def save_checkpoint(
     arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # Write through a buffer then rename so an interrupted save never leaves a
-    # truncated checkpoint under the final name.
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
+    # Write to a temporary file then rename so an interrupted save never
+    # leaves a truncated checkpoint under the final name. np.savez gets the
+    # open handle: given the path it would append ".npz" to it.
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(buf.getvalue())
+    with open(tmp, "wb") as f:
+        np.savez(f, **arrays)
     tmp.replace(path)
 
 

@@ -367,9 +367,11 @@ def verify_equivalence(
     for _ in range(probes):
         x = rng.standard_normal((input_shape.batch, input_shape.channels, *input_shape.spatial))
         x = x.astype(np.float32)
-        ref = forward(graph, weights, x, node_scales=scales, training=False).output
+        ref = forward(
+            graph, weights, x, node_scales=scales, training=False, tape=False
+        ).output
         new = forward(
-            result.graph, result.weights, x, node_scales=new_scales, training=False
+            result.graph, result.weights, x, node_scales=new_scales, training=False, tape=False
         ).output
         if ref.shape != new.shape:
             raise ShapeDrift(f"outputs drifted from {ref.shape} to {new.shape}")

@@ -236,7 +236,9 @@ def evaluate(
     inter = p_count = t_count = None
     hits = 0
     for bx, by in batches(dataset, batch_size, shuffle=False):
-        out = forward(graph, weights, bx, node_scales=node_scales, training=False).output
+        out = forward(
+            graph, weights, bx, node_scales=node_scales, training=False, tape=False
+        ).output
         pred = np.argmax(out, axis=1)
         if dense:
             i, p, t = confusion_counts(pred, by, dataset.classes)

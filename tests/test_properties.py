@@ -75,9 +75,13 @@ def test_folded_weights_match_gate_scales(seed, training):
 def test_unit_scales_change_nothing_and_return_channel_sums(seed, training):
     graph, col, weights, gates, x = gated_case(seed)
     base = forward(graph, copy.deepcopy(weights), x, training=training)
-    ones = {nid: np.ones(act.shape[1]) for nid, act in base.acts.items() if nid != graph.entry}
+    shapes = infer_shapes(graph, TensorShape(x.shape[0], x.shape[1], x.shape[2:]))
+    ones = {nid: np.ones(s.channels) for nid, s in shapes.items() if nid != graph.entry}
     scaled = forward(graph, copy.deepcopy(weights), x, node_scales=ones, training=training)
     assert np.array_equal(scaled.output, base.output)
+    # Each scaled node's tape record keeps (vector, unscaled output).
+    pres = {key: scale[1] for key, _, _, scale in scaled._tape if scale is not None}
+    assert set(pres) == set(ones)
 
     probe = np.random.default_rng(seed + 1).normal(0, 1, base.output.shape)
     base_grads = base.backward(probe)
@@ -90,9 +94,25 @@ def test_unit_scales_change_nothing_and_return_channel_sums(seed, training):
     for nid in ones:
         if nid not in seen:
             continue
-        gy, pre = seen[nid], scaled.acts[nid]
+        gy, pre = seen[nid], pres[nid]
         direct = [np.sum(gy[:, c] * pre[:, c], dtype=np.float64) for c in range(pre.shape[1])]
         np.testing.assert_allclose(grads[("n", nid)], direct, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 5000), training=st.booleans())
+def test_tape_free_pass_matches_the_taped_pass_bitwise(seed, training):
+    graph, col, weights, gates, x = gated_case(seed)
+    scales = gate_scales(col, snapshot(gates), x.dtype)
+    taped_w, free_w = copy.deepcopy(weights), copy.deepcopy(weights)
+    taped = forward(graph, taped_w, x, node_scales=scales, training=training)
+    free = forward(graph, free_w, x, node_scales=scales, training=training, tape=False)
+    assert free.output.dtype == taped.output.dtype and free.output.shape == taped.output.shape
+    assert free.output.tobytes() == taped.output.tobytes()
+    # Training-mode BatchNorm updates its running statistics alike.
+    for nid in weights:
+        for name in weights[nid]:
+            assert free_w[nid][name].tobytes() == taped_w[nid][name].tobytes(), (nid, name)
 
 
 @PROPERTY
