@@ -3,6 +3,7 @@ activation lifetimes."""
 import copy
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -284,6 +285,19 @@ class TestPoolBackwardOracles:
         h, w = size
         assert not dx[:, :, h - h % factor:].any() and not dx[:, :, :, w - w % factor:].any()
 
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_upsample_backward_sums_blocks(self, factor):
+        rng = np.random.default_rng(7)
+        g = chain_graph(simple_node("u", OpKind.UPSAMPLE, factor=factor))
+        x = rng.normal(0, 1, (2, 3, 4, 5))
+        run = forward(g, {}, x)
+        gy = rng.normal(0, 1, run.output.shape)
+        (dx,), _ = op_record(run, "u")(gy)
+        assert dx.shape == x.shape and dx.dtype == x.dtype
+        np.testing.assert_allclose(dx, naive_upsample_backward(gy, factor), rtol=1e-12, atol=1e-12)
+
+
+class TestReluBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_backward_masks_where_the_input_is_positive(self, dtype):
         # The tape keeps y = max(x, 0); its mask y > 0 must match x > 0 on
@@ -297,17 +311,6 @@ class TestPoolBackwardOracles:
         (dx,), grads = op_record(run, "r")(gy)
         assert grads == {}
         assert_bitwise_equal(dx, gy * (x > 0))
-
-    @pytest.mark.parametrize("factor", [1, 2, 3])
-    def test_upsample_backward_sums_blocks(self, factor):
-        rng = np.random.default_rng(7)
-        g = chain_graph(simple_node("u", OpKind.UPSAMPLE, factor=factor))
-        x = rng.normal(0, 1, (2, 3, 4, 5))
-        run = forward(g, {}, x)
-        gy = rng.normal(0, 1, run.output.shape)
-        (dx,), _ = op_record(run, "u")(gy)
-        assert dx.shape == x.shape and dx.dtype == x.dtype
-        np.testing.assert_allclose(dx, naive_upsample_backward(gy, factor), rtol=1e-12, atol=1e-12)
 
 
 class TestBatchNormBackwardOracles:
@@ -590,4 +593,31 @@ class TestActivationLifetimes:
         fails if that comes back."""
         run, _, held, _ = self.traced_forward(32, training=True)
         assert held <= 13 * 2**20, held / 2**20
+        run.backward(np.ones_like(run.output))
+
+    @pytest.mark.parametrize(
+        "node,training",
+        [
+            (simple_node("bn", OpKind.BATCH_NORM), True),
+            (simple_node("bn", OpKind.BATCH_NORM), False),
+            (simple_node("r", OpKind.RELU), True),
+            (conv_node("c", 3, 4, kernel=3, stride=1, padding=1), True),
+            (simple_node("u", OpKind.UPSAMPLE, factor=2), True),
+        ],
+    )
+    def test_tape_records_do_not_keep_their_input(self, node, training):
+        """These ops' backwards read the centred input, the output, the
+        padded planes or nothing, so once the caller lets go of the input,
+        the taped run must not keep it alive."""
+        rng = np.random.default_rng(9)
+        weights = {
+            "bn": bn_weights(np.ones(3), np.zeros(3)),
+            "c": {"c": {"kernel": rng.normal(0, 1, (4, 3, 3, 3))}},
+        }.get(node.id, {})
+        x = rng.normal(0, 1, (2, 3, 4, 4))
+        alive = weakref.ref(x)
+        run = forward(chain_graph(node), weights, x, training=training)
+        del x
+        gc.collect()
+        assert alive() is None
         run.backward(np.ones_like(run.output))
