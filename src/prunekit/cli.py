@@ -15,7 +15,7 @@ from .graph import TensorShape, infer_shapes, validate
 from .graphio import serialize
 from .models import build_reference_model
 from .optim import load_checkpoint
-from .relax import channel_totals, export_snapshot, gate_scales, snapshot
+from .relax import channel_totals, check_gates, export_snapshot, gate_scales, snapshot
 from .subgraph import identify_subgraphs
 from .workflow import WorkflowConfig, evaluate, run
 
@@ -47,6 +47,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     _, test_set = split(full, args.train_fraction, seed=args.seed)
     shape = TensorShape(1, test_set.inputs.shape[1], tuple(test_set.inputs.shape[2:]))
     coloring = identify_subgraphs(ckpt.graph, infer_shapes(ckpt.graph, shape))
+    if ckpt.gates.values:  # a folded model has none
+        check_gates(coloring, ckpt.gates, args.checkpoint)
     scales = gate_scales(coloring, snapshot(ckpt.gates), test_set.inputs.dtype)
     score = evaluate(ckpt.graph, ckpt.weights, test_set, node_scales=scales)
     print(f"score {score:.4f} on {len(test_set)} held-out samples")
@@ -63,6 +65,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         entry = TensorShape(1, dims[0], tuple(dims[1:]))
     shapes = infer_shapes(ckpt.graph, entry)
     coloring = identify_subgraphs(ckpt.graph, shapes)
+    if ckpt.gates.values:  # a folded model has none
+        check_gates(coloring, ckpt.gates, args.checkpoint)
     widths = channel_totals(coloring, snapshot(ckpt.gates))
     report = structure_measures(ckpt.graph, coloring, widths, shapes)
     print(report.to_text(), end="")

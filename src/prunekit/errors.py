@@ -78,10 +78,6 @@ class EmptyNetwork(PrunekitError):
     """Pruning removed every path from the input to the output."""
 
 
-class NoFoldTarget(PrunekitError):
-    """A gated group has no producing operator to fold its scale into."""
-
-
 class ShapeDrift(PrunekitError):
     """Two models expected to agree produce differently shaped outputs."""
 

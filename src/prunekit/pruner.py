@@ -23,16 +23,9 @@ import numpy as np
 
 from .accounting import structure_measures
 from .engine import Weights, forward
-from .errors import (
-    EmptyNetwork,
-    GraphStructureError,
-    InvalidConfig,
-    LengthMismatch,
-    NoFoldTarget,
-    ShapeDrift,
-)
+from .errors import EmptyNetwork, GraphStructureError, InvalidConfig, LengthMismatch, ShapeDrift
 from .graph import Graph, OpKind, OperatorNode, TensorShape, infer_shapes
-from .relax import GateSet, MaskSet, gate_scales, gate_sites, snapshot
+from .relax import GateSet, MaskSet, gate_scales, snapshot
 from .subgraph import Coloring, identify_subgraphs
 
 _CLAMPED = (OpKind.CONV, OpKind.FULLY_CONNECTED, OpKind.BATCH_NORM)
@@ -285,17 +278,15 @@ def rewrite(
 
     new_coloring = identify_subgraphs(new_graph, new_shapes)
 
-    # Carry surviving gate scores over to the new grouping, located through
-    # each new group's first gate site.
+    # Carry surviving gate scores over to the new grouping: a new group takes
+    # the scores of the old group that its first producer (by node id) seeded.
     new_values: dict[int, np.ndarray] = {}
     if gates.values:
-        old_sites = gate_sites(coloring)
-        first_site: dict[int, str] = {}
-        for nid, gid in gate_sites(new_coloring).items():
-            first_site.setdefault(gid, nid)
-        for gid, site in first_site.items():
-            group = new_coloring.group(gid)
-            old_gid = old_sites.get(site)
+        old_group: dict[int, int] = {}
+        for nid in sorted(new_coloring.producers):
+            old_group.setdefault(new_coloring.producers[nid], coloring.producers[nid])
+        for group in new_coloring.prunable_groups():
+            old_gid = old_group[group.id]
             if old_gid in gates.values:
                 carried = gates.values[old_gid][keep[old_gid]]
             else:
@@ -397,16 +388,11 @@ def fold_gates(
 
     Each gate site's kernel output channels (and a fully-connected layer's
     bias) are scaled by its gains, so the result matches the gated network
-    exactly in both training and evaluation modes. Raises
-    :class:`NoFoldTarget` for a gated group with no producing operator.
+    exactly in both training and evaluation modes.
     """
     new_weights: Weights = {
         nid: {name: arr.copy() for name, arr in per.items()} for nid, per in weights.items()
     }
-    sites = gate_sites(coloring)
-    for group in coloring.prunable_groups():
-        if group.id in gates.values and group.id not in sites.values():
-            raise NoFoldTarget(f"group {group.id} has no producing operator to fold into")
     for nid, gains in gate_scales(coloring, snapshot(gates), np.float64).items():
         arrs = new_weights[nid]
         if graph.nodes[nid].kind == OpKind.CONV:

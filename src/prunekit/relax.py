@@ -10,11 +10,11 @@ network as little as possible.
 A training step evaluates the gains once (:func:`snapshot`); the forward
 scales, the score chain rule and the group widths all read that one dict.
 
-Gate sites: a group's gains multiply the output of each of its producing
-operators (convolution and fully-connected outputs), applied through
-``engine.forward``'s ``node_scales``. :func:`gate_sites` is the one place
-that picks those nodes; training, evaluation, the masked model, folding and
-the score carry-over of a rewrite all go through it.
+Gate sites: a group's gains multiply the output of each of its producers
+(``Coloring.producers``: convolution and fully-connected outputs), applied
+through ``engine.forward``'s ``node_scales``. :func:`gate_sites` is the one
+place that picks those nodes; training, evaluation, the masked model and
+folding all go through it.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
-from .subgraph import ROLE_CONV_OUT, ROLE_FC_OUT, Coloring
+from .errors import CheckpointError, InvalidConfig
+from .subgraph import Coloring
 
 DEFAULT_STEEPNESS = 4.0
 DEFAULT_STIFFENING_SD = 1.0
@@ -109,21 +109,27 @@ def init_gates(
     return GateSet(values=values, steepness=steepness, stiffening_sd=stiffening_sd)
 
 
-def gate_sites(coloring: Coloring) -> dict[str, int]:
-    """The node whose output carries each prunable group's gains.
+def check_gates(coloring: Coloring, gates: GateSet, source: str) -> None:
+    """Raise :class:`CheckpointError` naming a group unless ``gates`` (loaded
+    from ``source``) fit ``coloring``: one score vector of the group's width
+    for each prunable group, and none for any other id."""
+    widths = {g.id: g.width for g in coloring.prunable_groups()}
+    for gid in sorted(widths.keys() | gates.values.keys()):
+        got = f"gates of shape {gates.values[gid].shape}" if gid in gates.values else "no gates"
+        want = f"gates of shape {(widths[gid],)}" if gid in widths else "no gates"
+        if got != want:
+            raise CheckpointError(f"{source}: group {gid} has {got} where the graph needs {want}")
 
-    Every producing member of a prunable group (a convolution or
-    fully-connected output) is a site, so a group merged by a Sum is scaled
-    once per producer and members that merely preserve its channels see the
-    scaled values through normal data flow. Sites are listed group by group,
-    in member order.
+
+def gate_sites(coloring: Coloring) -> dict[str, int]:
+    """The nodes whose outputs carry each prunable group's gains, in
+    topological order: every producer of the group (``coloring.producers``),
+    so a group merged by a Sum is scaled once per producer, and operators that
+    merely preserve its channels see the scaled values through data flow.
+    Every prunable group has a site: each group but the entry's is seeded by a
+    producer.
     """
-    return {
-        member.node: group.id
-        for group in coloring.prunable_groups()
-        for member in group.members
-        if member.role in (ROLE_CONV_OUT, ROLE_FC_OUT)
-    }
+    return {nid: gid for nid, gid in coloring.producers.items() if coloring.group(gid).prunable}
 
 
 def gate_scales(coloring: Coloring, gains: dict[int, np.ndarray], dtype) -> dict[str, np.ndarray]:

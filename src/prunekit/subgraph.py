@@ -21,6 +21,11 @@ Rules applied while walking the graph in topological order:
 * Unknown operators make every group flowing through them non-prunable, as
   does feeding the network output (the logits are never pruned).
 
+The same walk records the group each Convolution/FullyConnected output seeds
+(``Coloring.producers``, where :mod:`prunekit.relax` puts the gates), and
+where each group's channels meet parametric operators, which numbers the
+groups (see :func:`identify_subgraphs`).
+
 The result also carries the graph's :class:`CostTable`: every operator's
 cost as a polynomial in the group widths, by the rule in
 :func:`cost_coefficients`, for :mod:`prunekit.accounting` to evaluate.
@@ -35,26 +40,6 @@ import numpy as np
 from .errors import InconsistentWidths
 from .graph import Graph, OpKind, TensorShape
 
-ROLE_CONV_OUT = "conv-output"
-ROLE_CONV_IN = "conv-input"
-ROLE_BN = "bn-channels"
-ROLE_FC_OUT = "fc-output"
-ROLE_FC_IN = "fc-input"
-
-
-@dataclass(frozen=True)
-class GroupMember:
-    """One place where a group's channels appear on a parametric operator.
-
-    ``offset`` is the first channel index of the group's segment within that
-    operator's input or output tensor; it is nonzero only downstream of a
-    Concatenation.
-    """
-
-    node: str
-    role: str
-    offset: int = 0
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -68,7 +53,6 @@ class Segment:
 class ChannelGroup:
     id: int
     width: int
-    members: tuple[GroupMember, ...]
     prunable: bool
 
 
@@ -136,11 +120,14 @@ class Coloring:
 
     ``node_segments`` maps every node id to the ordered segments of its
     output tensor (an edge always carries its producer's full output);
-    ``costs`` is the graph's compiled cost table.
+    ``producers`` maps every Convolution/FullyConnected node, in topological
+    order, to the group its output seeds; ``costs`` is the graph's compiled
+    cost table.
     """
 
     groups: tuple[ChannelGroup, ...]
     node_segments: dict[str, tuple[Segment, ...]]
+    producers: dict[str, int]
     costs: CostTable
 
     def group(self, group_id: int) -> ChannelGroup:
@@ -197,11 +184,22 @@ def identify_subgraphs(graph: Graph, shapes: dict[str, TensorShape]) -> Coloring
 
     ``shapes`` must come from :func:`prunekit.graph.infer_shapes` on the same
     graph. The result is deterministic and independent of node insertion
-    order: groups are numbered by their lexicographically first member.
+    order: groups are numbered by the least ``(node, side, offset)`` where
+    their channels enter (side 0) or leave (side 1) a Convolution,
+    FullyConnected or BatchNorm, ``offset`` being the group's first channel
+    in that tensor; a group with no such place is keyed ``(seed, -1, 0)`` by
+    the node that seeded it.
     """
     dsu = _DisjointSet()
     desc: dict[str, list[tuple[int, int]]] = {}  # node -> [(handle, width)] segments
-    members: list[tuple[int, GroupMember]] = []  # (handle, member), resolved after all unions
+    places: list[tuple[int, tuple[str, int, int]]] = []  # (handle, key), resolved after all unions
+    producers: dict[str, int] = {}  # node -> handle its output seeds
+
+    def enter(nid: str, segs: list[tuple[int, int]]) -> None:
+        offset = 0
+        for handle, width in segs:
+            places.append((handle, (nid, 0, offset)))
+            offset += width
 
     for nid in graph.topo_order():
         node = graph.nodes[nid]
@@ -211,23 +209,13 @@ def identify_subgraphs(graph: Graph, shapes: dict[str, TensorShape]) -> Coloring
             h = dsu.make(shapes[nid].channels, seed=nid, blocked=True)
             desc[nid] = [(h, shapes[nid].channels)]
         elif kind in (OpKind.CONV, OpKind.FULLY_CONNECTED):
-            in_role = ROLE_CONV_IN if kind == OpKind.CONV else ROLE_FC_IN
-            out_role = ROLE_CONV_OUT if kind == OpKind.CONV else ROLE_FC_OUT
-            offset = 0
-            for handle, width in desc[ins[0]]:
-                members.append((handle, GroupMember(nid, in_role, offset)))
-                offset += width
-            out_width = shapes[nid].channels
-            h = dsu.make(out_width, seed=nid, blocked=False)
-            members.append((h, GroupMember(nid, out_role, 0)))
-            desc[nid] = [(h, out_width)]
+            enter(nid, desc[ins[0]])
+            h = producers[nid] = dsu.make(shapes[nid].channels, seed=nid, blocked=False)
+            places.append((h, (nid, 1, 0)))
+            desc[nid] = [(h, shapes[nid].channels)]
         elif kind == OpKind.BATCH_NORM:
-            offset = 0
-            segs = desc[ins[0]]
-            for handle, width in segs:
-                members.append((handle, GroupMember(nid, ROLE_BN, offset)))
-                offset += width
-            desc[nid] = list(segs)
+            enter(nid, desc[ins[0]])
+            desc[nid] = list(desc[ins[0]])
         elif kind in (OpKind.RELU, OpKind.MAX_POOL, OpKind.UPSAMPLE):
             desc[nid] = list(desc[ins[0]])
         elif kind in (OpKind.SUM, OpKind.PRODUCT):
@@ -237,41 +225,35 @@ def identify_subgraphs(graph: Graph, shapes: dict[str, TensorShape]) -> Coloring
             for p in ins:
                 segs.extend(desc[p])
             desc[nid] = segs
-        elif kind == OpKind.UNKNOWN:
+        elif kind in (OpKind.UNKNOWN, OpKind.OUTPUT):
             for p in ins:
                 for handle, _ in desc[p]:
                     dsu.block(handle)
             desc[nid] = list(desc[ins[0]])
-        elif kind == OpKind.OUTPUT:
-            for handle, _ in desc[ins[0]]:
-                dsu.block(handle)
-            desc[nid] = list(desc[ins[0]])
         else:  # pragma: no cover - enum is closed
             raise InconsistentWidths(f"unhandled kind {kind!r}")
 
-    # Resolve provisional handles to roots and build canonical groups.
-    root_members: dict[int, list[GroupMember]] = {}
-    for handle, member in members:
-        root_members.setdefault(dsu.find(handle), []).append(member)
+    # Resolve provisional handles to roots and number the groups.
+    first: dict[int, tuple[str, int, int]] = {}
+    for handle, key in places:
+        root = dsu.find(handle)
+        first[root] = min(first.get(root, key), key)
     roots = sorted(
         {dsu.find(h) for h in range(len(dsu.parent))},
-        key=lambda r: _canonical_key(r, root_members, dsu),
+        key=lambda r: first.get(r, (dsu.seed[r], -1, 0)),
     )
     group_ids = {root: i for i, root in enumerate(roots)}
     groups = tuple(
-        ChannelGroup(
-            id=group_ids[root],
-            width=dsu.width[root],
-            members=tuple(sorted(root_members.get(root, []), key=lambda m: (m.node, m.role, m.offset))),
-            prunable=not dsu.blocked[root],
-        )
+        ChannelGroup(id=group_ids[root], width=dsu.width[root], prunable=not dsu.blocked[root])
         for root in roots
     )
     node_segments = {
         nid: tuple(Segment(group_ids[dsu.find(h)], w) for h, w in segs)
         for nid, segs in desc.items()
     }
-    return Coloring(groups, node_segments, _compile_costs(graph, shapes, node_segments, groups))
+    producers = {nid: group_ids[dsu.find(h)] for nid, h in producers.items()}
+    costs = _compile_costs(graph, shapes, node_segments, groups)
+    return Coloring(groups, node_segments, producers, costs)
 
 
 def _compile_costs(
@@ -326,12 +308,3 @@ def _merge_descriptors(
             root = dsu.union(root, other[i][0])
         merged.append((dsu.find(root), width))
     return merged
-
-
-def _canonical_key(root: int, root_members: dict[int, list[GroupMember]], dsu: _DisjointSet):
-    ms = root_members.get(root)
-    if ms:
-        first = min(ms, key=lambda m: (m.node, m.role, m.offset))
-        return (first.node, first.role, first.offset)
-    return (dsu.seed[root], "", 0)
-

@@ -43,7 +43,9 @@ from .models import build_reference_model
 from .objective import ObjectiveConfig, Schedule, confusion_counts, mean_iou, total_loss
 from .optim import OptimConfig, Optimizer, load_checkpoint, save_checkpoint
 from .pruner import fold_gates, rewrite, threshold_masks, verify_equivalence
-from .relax import GateSet, channel_totals, export_snapshot, gate_scales, init_gates, snapshot
+from .relax import (
+    GateSet, channel_totals, check_gates, export_snapshot, gate_scales, init_gates, snapshot,
+)
 from .subgraph import Coloring, identify_subgraphs
 
 DEFAULT_THRESHOLD_RAMP = (0.01, 0.1, 0.25, 0.4, 0.5)
@@ -374,6 +376,7 @@ def run(
         gates = ckpt.gates
         shapes = infer_shapes(graph, entry_shape)
         coloring = identify_subgraphs(graph, shapes)
+        check_gates(coloring, gates, str(resume_from))
         optimizer = Optimizer(config.optimizer)
         if ckpt.opt_state is not None:
             optimizer.load_state_dict(ckpt.opt_state)

@@ -525,12 +525,15 @@ class TestRunSemantics:
         gated = forward(
             graph, copy.deepcopy(weights), x, node_scales=gate_scales(col, snapshot(gates), x.dtype)
         )
-        # replicate via fixed node scales on each producer
+        # replicate via fixed node scales on each convolution or
+        # fully-connected layer whose output group is gated
         scales = {}
-        for group in col.prunable_groups():
-            for member in group.members:
-                if member.role in ("conv-output", "fc-output"):
-                    scales[member.node] = sigma(gates.values[group.id], gates.steepness)
+        for nid, node in graph.nodes.items():
+            if node.kind in (OpKind.CONV, OpKind.FULLY_CONNECTED):
+                (seg,) = col.node_segments[nid]
+                if col.group(seg.group).prunable:
+                    scales[nid] = sigma(gates.values[seg.group], gates.steepness)
+        assert scales
         plain = forward(graph, copy.deepcopy(weights), x, node_scales=scales)
         np.testing.assert_allclose(gated.output, plain.output, rtol=1e-12, atol=1e-12)
 

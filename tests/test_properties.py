@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from prunekit import graphio
 from prunekit.accounting import structure_measures
 from prunekit.engine import forward, init_weights, trainable_params
-from prunekit.graph import TensorShape, infer_shapes
+from prunekit.graph import OpKind, TensorShape, infer_shapes
 from prunekit.optim import OptimConfig, Optimizer, load_checkpoint, save_checkpoint
 from prunekit.errors import EmptyNetwork
 from prunekit.pruner import alive_channels, fold_gates, rewrite
-from prunekit.relax import MaskSet, channel_totals, gate_scales, snapshot
-from prunekit.subgraph import ROLE_BN, ROLE_CONV_OUT, ROLE_FC_OUT, identify_subgraphs
+from prunekit.relax import MaskSet, channel_totals, gate_scales, gate_sites, snapshot
+from prunekit.subgraph import identify_subgraphs
 
-from gen import gated_setups, random_gates, random_masks
+from gen import gated_setups, grouped_setup, random_gates, random_masks
 
 # Derandomized with no example database, so runs are repeatable and write no
 # files; the examples are cheap graphs of at most eight operators.
@@ -133,14 +133,17 @@ def test_liveness_stays_within_masks_and_keep_is_the_producer_union(seed, surviv
             keep[seg.group] |= part
             offset += seg.width
 
-    # The channels a group's producing members (and, for the entry's group,
-    # the entry) carry: the rule the segment union replaces.
+    # The channels that the outputs of a group's Convolutions, FullyConnected
+    # layers and BatchNorms (and, for the entry's group, the entry) carry:
+    # the rule the segment union replaces.
     producers = {g.id: np.zeros(g.width, dtype=bool) for g in col.groups}
     producers[col.node_segments[graph.entry][0].group] |= alive[graph.entry]
-    for g in col.groups:
-        for m in g.members:
-            if m.role in (ROLE_CONV_OUT, ROLE_FC_OUT, ROLE_BN):
-                producers[g.id] |= alive[m.node][m.offset:m.offset + g.width]
+    for nid, node in graph.nodes.items():
+        if node.kind in (OpKind.CONV, OpKind.FULLY_CONNECTED, OpKind.BATCH_NORM):
+            offset = 0
+            for seg in col.node_segments[nid]:
+                producers[seg.group] |= alive[nid][offset:offset + seg.width]
+                offset += seg.width
     for g in col.groups:
         assert np.array_equal(keep[g.id], producers[g.id]), g.id
 
@@ -152,6 +155,21 @@ def test_liveness_stays_within_masks_and_keep_is_the_producer_union(seed, surviv
     assert {(r.group, r.kept) for r in result.report.groups} == {
         (g.id, int(keep[g.id].sum())) for g in col.prunable_groups()
     }
+
+
+@PROPERTY
+@given(seed=st.integers(0, 5000), allow_unknown=st.booleans())
+def test_gate_sites_are_the_producers_of_prunable_groups(seed, allow_unknown):
+    graph, _, _, col = grouped_setup(seed, allow_unknown=allow_unknown)
+    expected = {}
+    for nid, node in graph.nodes.items():
+        if node.kind in (OpKind.CONV, OpKind.FULLY_CONNECTED):
+            (seg,) = col.node_segments[nid]
+            if col.group(seg.group).prunable:
+                expected[nid] = seg.group
+    assert gate_sites(col) == expected
+    # So every gated group's gains reach the network, and fold into weights.
+    assert {g.id for g in col.prunable_groups()} <= set(expected.values())
 
 
 def report_text(graph, coloring, gates, shapes):

@@ -1,13 +1,12 @@
 """Mask extraction, graph rewriting, masked-vs-pruned parity, gain folding."""
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
 
 from prunekit.accounting import structure_measures
 from prunekit.engine import forward, init_weights
-from prunekit.errors import EmptyNetwork, InvalidConfig, NoFoldTarget, ShapeDrift
+from prunekit.errors import EmptyNetwork, InvalidConfig, ShapeDrift
 from prunekit.graph import (
     Graph,
     OpKind,
@@ -314,14 +313,3 @@ class TestFolding:
                         training=training).output
             b = forward(graph, copy.deepcopy(folded), x, training=training).output
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-
-    def test_group_without_producer_rejected(self):
-        graph, entry, shapes, col, weights, gates = model_setup()
-        gid = producer_group(col, "b2.conv1")
-        group = col.group(gid)
-        stripped = dataclasses.replace(
-            group, members=tuple(m for m in group.members if m.node != "b2.conv1")
-        )
-        groups = tuple(stripped if g.id == gid else g for g in col.groups)
-        with pytest.raises(NoFoldTarget):
-            fold_gates(graph, dataclasses.replace(col, groups=groups), gates, weights)

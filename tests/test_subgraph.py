@@ -1,4 +1,6 @@
 """Channel grouping: merges across joins, concat segments, prunability."""
+import random
+
 import pytest
 
 from prunekit.accounting import structure_measures
@@ -14,16 +16,9 @@ from prunekit.graph import (
 )
 from prunekit.models import build_reference_model
 from prunekit.relax import channel_totals
-from prunekit.subgraph import (
-    ROLE_BN,
-    ROLE_CONV_IN,
-    ROLE_CONV_OUT,
-    ROLE_FC_IN,
-    ROLE_FC_OUT,
-    identify_subgraphs,
-)
+from prunekit.subgraph import identify_subgraphs
 
-from gen import grouped_setup, producer_group
+from gen import grouped_setup, producer_group, random_graph
 
 
 def build(nodes, edges, entry="in", exit="out"):
@@ -35,8 +30,30 @@ def colored(graph, input_shape):
     return shapes, identify_subgraphs(graph, shapes)
 
 
-def member_set(group):
-    return sorted({(m.node, m.role) for m in group.members})
+PARAMETRIC = (OpKind.CONV, OpKind.FULLY_CONNECTED, OpKind.BATCH_NORM)
+
+
+def places(graph, col, group):
+    """``(node, side, offset)`` wherever ``group``'s channels enter ("in": the
+    input of a Convolution, FullyConnected or BatchNorm, at channel
+    ``offset``) or leave ("out": a Convolution/FullyConnected output) a
+    parametric operator, read off the node segments and the graph."""
+    found = set()
+    for nid, node in graph.nodes.items():
+        if node.kind not in PARAMETRIC:
+            continue
+        offset = 0
+        for seg in col.node_segments[graph.inputs(nid)[0]]:
+            if seg.group == group.id:
+                found.add((nid, "in", offset))
+            offset += seg.width
+        if node.kind != OpKind.BATCH_NORM and col.node_segments[nid][0].group == group.id:
+            found.add((nid, "out", 0))
+    return found
+
+
+def member_set(graph, col, group):
+    return sorted({(nid, side) for nid, side, _ in places(graph, col, group)})
 
 
 class TestChains:
@@ -57,7 +74,7 @@ class TestChains:
         inner = col.group(producer_group(col, "c1"))
         assert inner.width == 4
         assert inner.prunable
-        assert member_set(inner) == [("bn", ROLE_BN), ("c1", ROLE_CONV_OUT), ("c2", ROLE_CONV_IN)]
+        assert member_set(g, col, inner) == [("bn", "in"), ("c1", "out"), ("c2", "in")]
 
         head = col.group(producer_group(col, "c2"))
         assert head.width == 5
@@ -65,7 +82,7 @@ class TestChains:
 
         entry_group = col.group(col.node_segments["in"][0].group)
         assert not entry_group.prunable
-        assert member_set(entry_group) == [("c1", ROLE_CONV_IN)]
+        assert member_set(g, col, entry_group) == [("c1", "in")]
 
     def test_fc_head_roles(self):
         g = build(
@@ -81,9 +98,10 @@ class TestChains:
         shapes, col = colored(g, TensorShape(2, 3, (8, 8)))
         conv_group = col.group(producer_group(col, "c"))
         assert conv_group.prunable
-        assert ("head", ROLE_FC_IN) in member_set(conv_group)
+        assert g.nodes["head"].kind == OpKind.FULLY_CONNECTED
+        assert ("head", "in") in member_set(g, col, conv_group)
         head_group = col.group(producer_group(col, "head"))
-        assert member_set(head_group) == [("head", ROLE_FC_OUT)]
+        assert member_set(g, col, head_group) == [("head", "out")]
         assert not head_group.prunable
 
 
@@ -119,9 +137,9 @@ class TestJoins:
         assert producer_group(col, "c1") == producer_group(col, "c2")
         merged = col.group(producer_group(col, "c1"))
         assert merged.prunable
-        assert ("c1", ROLE_CONV_OUT) in member_set(merged)
-        assert ("c2", ROLE_CONV_OUT) in member_set(merged)
-        assert ("c3", ROLE_CONV_IN) in member_set(merged)
+        assert ("c1", "out") in member_set(g, col, merged)
+        assert ("c2", "out") in member_set(g, col, merged)
+        assert ("c3", "in") in member_set(g, col, merged)
 
     def test_product_merges_like_sum(self):
         g = self._skip_block()
@@ -184,8 +202,8 @@ class TestJoins:
         assert segs[0].group == producer_group(col, "a")
         assert segs[1].group == producer_group(col, "b")
         group_b = col.group(producer_group(col, "b"))
-        offsets = {(m.node, m.role): m.offset for m in group_b.members}
-        assert offsets[("c", ROLE_CONV_IN)] == 2  # sits after a's channels
+        # b's channels enter c after a's.
+        assert {p for p in places(g, col, group_b) if p[0] == "c"} == {("c", "in", 2)}
         assert col.group(producer_group(col, "a")).prunable
         assert col.group(producer_group(col, "b")).prunable
 
@@ -237,15 +255,17 @@ class TestReferenceModels:
         # together with the classifier input.
         trunk = col.group(producer_group(col, "stem.conv"))
         assert trunk.prunable and trunk.width == 16
-        trunk_members = member_set(trunk)
+        trunk_members = member_set(g, col, trunk)
+        assert g.nodes["head"].kind == OpKind.FULLY_CONNECTED
+        assert g.nodes["stem.bn"].kind == OpKind.BATCH_NORM
         for expected in [
-            ("stem.conv", ROLE_CONV_OUT),
-            ("b1.conv2", ROLE_CONV_OUT),
-            ("b2.conv2", ROLE_CONV_OUT),
-            ("b3.conv2", ROLE_CONV_OUT),
-            ("b1.conv1", ROLE_CONV_IN),
-            ("head", ROLE_FC_IN),
-            ("stem.bn", ROLE_BN),
+            ("stem.conv", "out"),
+            ("b1.conv2", "out"),
+            ("b2.conv2", "out"),
+            ("b3.conv2", "out"),
+            ("b1.conv1", "in"),
+            ("head", "in"),
+            ("stem.bn", "in"),
         ]:
             assert expected in trunk_members
         # Block-internal groups stay independent.
@@ -288,3 +308,63 @@ class TestReferenceModels:
         trunk = producer_group(col, "stem.conv")
         inner = producer_group(col, "b1.conv1")
         assert footprint[trunk][0] > footprint[inner][0]
+
+
+class TestNumbering:
+    PINNED = {
+        ("resnet8", 32): {
+            "stem.conv": 1, "b1.conv1": 0, "b1.conv2": 1, "b2.conv1": 2, "b2.conv2": 1,
+            "b3.conv1": 3, "b3.conv2": 1, "head": 4,
+        },
+        ("unet-small", 64): {
+            "enc1.a.conv": 10, "enc1.b.conv": 1, "enc2.a.conv": 12, "enc2.b.conv": 5,
+            "enc3.a.conv": 13, "enc3.b.conv": 8, "mid.a.conv": 15, "mid.b.conv": 9,
+            "dec3.a.conv": 7, "dec3.b.conv": 6, "dec2.a.conv": 4, "dec2.b.conv": 2,
+            "dec1.a.conv": 0, "dec1.b.conv": 3, "head": 14,
+        },
+    }
+
+    @pytest.mark.parametrize("name,size", list(PINNED))
+    def test_producer_groups_are_pinned(self, name, size):
+        # Gate initialisation draws its jitter in group order, so renumbering
+        # would change every fixed-seed run.
+        g = build_reference_model(name)
+        shapes, col = colored(g, TensorShape(1, 3, (size, size)))
+        assert col.producers == self.PINNED[name, size]
+        assert list(col.producers) == [
+            nid for nid in g.topo_order()
+            if g.nodes[nid].kind in (OpKind.CONV, OpKind.FULLY_CONNECTED)
+        ]
+        for nid, gid in col.producers.items():
+            assert [(s.group, s.width) for s in col.node_segments[nid]] == [
+                (gid, shapes[nid].channels)
+            ]
+
+    def test_groups_are_numbered_by_their_first_place(self):
+        """Group ids follow the least ``(node, side, offset)`` place of each
+        group; the entry's group, if it enters no parametric operator, is
+        keyed by the entry (side "" sorts first)."""
+        for seed in range(200):
+            graph, entry_shape, shapes, col = grouped_setup(seed, allow_unknown=seed % 2 == 1)
+            keys = [min(places(graph, col, g), default=(graph.entry, "", 0)) for g in col.groups]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys), seed
+
+    @pytest.mark.parametrize("source", [*PINNED, "gen"])
+    def test_numbering_ignores_node_and_edge_order(self, source):
+        rng = random.Random(0)
+        if source == "gen":
+            cases = [random_graph(seed, allow_unknown=True) for seed in range(40)]
+        else:
+            name, size = source
+            cases = [(build_reference_model(name), TensorShape(1, 3, (size, size)))]
+        for graph, entry_shape in cases:
+            nodes, edges = list(graph.nodes.values()), list(graph.edges)
+            rng.shuffle(nodes)
+            rng.shuffle(edges)
+            shuffled = Graph(nodes={n.id: n for n in nodes}, edges=tuple(edges),
+                             entry=graph.entry, exit=graph.exit)
+            _, want = colored(graph, entry_shape)
+            _, got = colored(shuffled, entry_shape)
+            assert got.groups == want.groups
+            assert got.node_segments == want.node_segments
+            assert got.producers == want.producers

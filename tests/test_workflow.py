@@ -536,6 +536,38 @@ def test_resume_refuses_a_checkpoint_without_run_metadata(mini_run, tmp_path):
     assert not (tmp_path / "resumed" / "metrics.csv").exists()
 
 
+MISFITS = ["extra group", "missing group", "wrong width"]
+
+
+def misfit_gates(gates, misfit):
+    """``gates`` with an id that is no prunable group, without its lowest
+    group, or with that group one channel too wide; and the group named."""
+    values = dict(gates.values)
+    gid = min(values)
+    if misfit == "extra group":
+        gid = 99
+        values[gid] = values[min(values)]
+    elif misfit == "missing group":
+        del values[gid]
+    else:
+        values[gid] = np.append(values[gid], values[gid][:1])
+    return GateSet(values, gates.steepness, gates.stiffening_sd), gid
+
+
+@pytest.mark.parametrize("misfit", MISFITS)
+def test_resume_refuses_gates_that_do_not_fit_the_graph(mini_run, tmp_path, misfit):
+    config, _, out_dir = mini_run
+    train_set, test_set = mini_data(config)
+    ckpt = load_checkpoint(out_dir / "step_00.npz")
+    gates, gid = misfit_gates(ckpt.gates, misfit)
+    bad = tmp_path / "bad_gates.npz"
+    save_checkpoint(bad, graph=ckpt.graph, weights=ckpt.weights, gates=gates, meta=ckpt.meta)
+    resumed = mini_config(tmp_path / "resumed")
+    with pytest.raises(CheckpointError, match=f"bad_gates.npz: group {gid} "):
+        run(resumed, train_set, test_set, resume_from=bad)
+    assert not (tmp_path / "resumed" / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("shift", [1.0, np.nan])
 def test_corrupted_rewrite_stops_the_run(tmp_path, monkeypatch, shift):
     def corrupted_rewrite(*args, **kwargs):
@@ -655,6 +687,17 @@ class TestCli:
         ])
         assert code == 0
         assert capsys.readouterr().out.startswith(f"score {expected:.4f} ")
+
+    @pytest.mark.parametrize("command", [["eval", "--size", "40", "--seed", "1"], ["report"]])
+    @pytest.mark.parametrize("misfit", MISFITS)
+    def test_refuses_gates_that_do_not_fit_the_graph(self, trained, capsys, tmp_path,
+                                                     command, misfit):
+        ckpt = load_checkpoint(trained / "step_00.npz")
+        gates, gid = misfit_gates(ckpt.gates, misfit)
+        bad = tmp_path / "bad_gates.npz"
+        save_checkpoint(bad, graph=ckpt.graph, weights=ckpt.weights, gates=gates, meta=ckpt.meta)
+        assert cli_main([command[0], "--checkpoint", str(bad), *command[1:]]) == 2
+        assert f"bad_gates.npz: group {gid} " in capsys.readouterr().err
 
     def test_report_prints_totals(self, trained, capsys):
         code = cli_main(["report", "--checkpoint", str(trained / "step_00.npz")])
