@@ -349,7 +349,7 @@ class TestNumbering:
             keys = [min(places(graph, col, g), default=(graph.entry, "", 0)) for g in col.groups]
             assert keys == sorted(keys) and len(set(keys)) == len(keys), seed
 
-    @pytest.mark.parametrize("source", [*PINNED, "gen"])
+    @pytest.mark.parametrize("source", [*PINNED, "gen"], ids=["resnet8", "unet-small", "gen"])
     def test_numbering_ignores_node_and_edge_order(self, source):
         rng = random.Random(0)
         if source == "gen":

@@ -688,7 +688,8 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.startswith(f"score {expected:.4f} ")
 
-    @pytest.mark.parametrize("command", [["eval", "--size", "40", "--seed", "1"], ["report"]])
+    @pytest.mark.parametrize("command", [["eval", "--size", "40", "--seed", "1"], ["report"]],
+                             ids=["eval", "report"])
     @pytest.mark.parametrize("misfit", MISFITS)
     def test_refuses_gates_that_do_not_fit_the_graph(self, trained, capsys, tmp_path,
                                                      command, misfit):
