@@ -38,6 +38,12 @@ each convolution, and a bias-free convolution maps an all-zero input to an
 all-zero output, which is what lets fully pruned branches collapse without
 changing the network function. FullyConnected keeps its bias.
 
+Parameter layout: every array of a node keeps the node's output channels on
+axis 0, and an array with a second axis keeps its input channels there: a
+kernel is ``(c_out, c_in, kh, kw)``, a FullyConnected weight ``(c_out, c_in)``,
+a bias or BatchNorm array ``(c,)``. The rewrite slices, and the gain fold
+scales, every array by this rule alone, whatever its node's kind.
+
 Convolution layout: the input is zero-padded, made channel-major and split
 into its ``sh * sw`` stride phases (fewer when the kernel is narrower than
 the stride), giving planes of shape ``(phases, c_in, b * hq * wq)`` over a

@@ -20,7 +20,7 @@ from .graph import Graph
 from .graphio import deserialize, serialize
 from .relax import GateSet
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Weight decay applies only to multiplicative weight matrices; biases,
 # BatchNorm affine terms and gate scores are exempt.
@@ -137,47 +137,35 @@ def save_checkpoint(
 ) -> None:
     """Write a self-contained training snapshot.
 
-    Array names in the archive are positional (``w0001`` ...); the JSON
-    metadata block carries the index that maps them back to node ids, group
-    ids and optimizer slots, so arbitrary node-id strings round-trip safely.
+    Array names in the archive are positional (``a00000`` ...); the JSON
+    header's ``index`` names each one by its key: ``["w", node, name]`` for a
+    weight, ``["s", group]`` for gate scores and ``[slot, *param key]`` for an
+    optimizer moment, so arbitrary node-id strings round-trip safely.
     ``gates=None`` writes no gate record (a folded model); such a checkpoint
     loads with an empty gate set.
     """
     arrays: dict[str, np.ndarray] = {}
-    header: dict = {
-        "version": CHECKPOINT_VERSION,
-        "graph": serialize(graph),
-        "meta": meta or {},
-    }
+    index: list[list] = []
+    header: dict = {"version": CHECKPOINT_VERSION, "graph": serialize(graph),
+                    "meta": meta or {}, "index": index}
 
-    w_index = []
+    def put(key: list, arr: np.ndarray) -> None:
+        arrays[f"a{len(index):05d}"] = arr
+        index.append(key)
+
     for nid in sorted(weights):
         for name in sorted(weights[nid]):
-            arrays[f"w{len(w_index):05d}"] = weights[nid][name]
-            w_index.append([nid, name])
-    header["w_index"] = w_index
-
+            put(["w", nid, name], weights[nid][name])
     if gates is not None:
-        g_index = []
         for gid in sorted(gates.values):
-            arrays[f"g{len(g_index):05d}"] = gates.values[gid]
-            g_index.append(int(gid))
-        header["g_index"] = g_index
-        header["gates"] = {
-            "steepness": gates.steepness,
-            "stiffening_sd": gates.stiffening_sd,
-        }
-
+            put(["s", int(gid)], gates.values[gid])
+        header["gates"] = {"steepness": gates.steepness, "stiffening_sd": gates.stiffening_sd}
     if optimizer is not None:
         state = optimizer.state_dict()
-        o_index = []
         for key in sorted(state["slots"]):
             for slot_name in sorted(state["slots"][key]):
-                arrays[f"o{len(o_index):05d}"] = state["slots"][key][slot_name]
-                o_index.append([list(key), slot_name])
-        header["o_index"] = o_index
+                put([slot_name, *key], state["slots"][key][slot_name])
         header["opt_t"] = state["t"]
-
     if rng is not None:
         header["rng_state"] = rng.bit_generator.state
 
@@ -194,6 +182,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; anything unreadable or missing raises
+    :class:`CheckpointError` naming what is wrong."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no checkpoint at {path}")
@@ -211,36 +201,38 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
 
-    try:
-        graph = deserialize(header["graph"])
+    def lacks(what: str) -> CheckpointError:
+        return CheckpointError(f"checkpoint {path} lacks {what}")
 
-        weights: Weights = {}
-        for i, (nid, name) in enumerate(header["w_index"]):
-            weights.setdefault(nid, {})[name] = arrays[f"w{i:05d}"]
+    for key in ("graph", "index"):
+        if key not in header:
+            raise lacks(repr(key))
+    weights: Weights = {}
+    values: dict[int, np.ndarray] = {}
+    slots: dict[ParamKey, dict[str, np.ndarray]] = {}
+    for i, key in enumerate(header["index"]):
+        name = f"a{i:05d}"
+        if name not in arrays:
+            raise lacks(f"{name!r}, array {key}")
+        if key[0] == "w":
+            weights.setdefault(key[1], {})[key[2]] = arrays[name]
+        elif key[0] == "s":
+            values[int(key[1])] = arrays[name]
+        else:
+            slots.setdefault(tuple(key[1:]), {})[key[0]] = arrays[name]
+    if values and "gates" not in header:
+        raise lacks("'gates', the record of its gate arrays")
+    if slots and "opt_t" not in header:
+        raise lacks("'opt_t', the step count of its optimizer moments")
 
-        gates = GateSet(values={})
-        if "g_index" in header:
-            values = {int(gid): arrays[f"g{i:05d}"] for i, gid in enumerate(header["g_index"])}
-            gates = GateSet(
-                values=values,
-                steepness=header["gates"]["steepness"],
-                stiffening_sd=header["gates"]["stiffening_sd"],
-            )
-
-        opt_state = None
-        if "o_index" in header:
-            slots: dict[ParamKey, dict[str, np.ndarray]] = {}
-            for i, (enc, slot_name) in enumerate(header["o_index"]):
-                slots.setdefault(tuple(enc), {})[slot_name] = arrays[f"o{i:05d}"]
-            opt_state = {"t": header["opt_t"], "slots": slots}
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint {path} lacks {exc}") from exc
-
+    record = header.get("gates")
     return Checkpoint(
-        graph=graph,
+        graph=deserialize(header["graph"]),
         weights=weights,
-        gates=gates,
-        opt_state=opt_state,
+        gates=GateSet(values={}) if record is None else GateSet(
+            values=values, steepness=record["steepness"], stiffening_sd=record["stiffening_sd"]
+        ),
+        opt_state={"t": header["opt_t"], "slots": slots} if "opt_t" in header else None,
         rng_state=header.get("rng_state"),
         meta=header.get("meta", {}),
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .accounting import structure_measures
 from .engine import Weights, forward
-from .errors import EmptyNetwork, GraphStructureError, InvalidConfig, LengthMismatch, ShapeDrift
+from .errors import EmptyNetwork, InvalidConfig, ShapeDrift
 from .graph import Graph, OpKind, OperatorNode, TensorShape, infer_shapes
 from .relax import GateSet, MaskSet, gate_scales, snapshot
 from .subgraph import Coloring, identify_subgraphs
@@ -185,46 +185,32 @@ def rewrite(
             offset += seg.width
     keep = {g.id: np.flatnonzero(flags[g.id]) for g in coloring.groups}
 
-    def node_keep(nid: str) -> np.ndarray:
-        pieces = []
-        offset = 0
-        for seg in coloring.node_segments[nid]:
-            pieces.append(offset + keep[seg.group])
-            offset += seg.width
-        return np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
-
-    removed = {nid for nid, flags in alive.items() if not np.any(flags)}
-    if graph.exit in removed or graph.entry in removed:
-        raise EmptyNetwork("masking disconnected the network entry from its exit")
-
-    # Resolve joins that lose operands: a Sum/Concatenation down to a single
-    # live input forwards it; one with no live inputs must itself be dead.
-    redirect: dict[str, str] = {}
-
-    def resolve(nid: str) -> str:
-        while nid in redirect:
-            nid = redirect[nid]
-        return nid
-
+    # One walk in topological order maps each live node to the node whose
+    # tensor it becomes (its own, or a Sum/Concatenation's one live operand's,
+    # which splices the join away) and to the positions in its own channel
+    # layout that the new tensor holds, so a consumer slices the right
+    # columns however its inputs were spliced.
+    source: dict[str, str] = {}
+    inputs_of: dict[str, list[str]] = {}
+    cols: dict[str, np.ndarray] = {}
     for nid in graph.topo_order():
-        if nid in removed:
+        if not np.any(alive[nid]):
             continue
-        node = graph.nodes[nid]
-        live_ins = [p for p in graph.inputs(nid) if resolve(p) not in removed]
-        if node.kind in (OpKind.SUM, OpKind.CONCAT) and len(live_ins) == 1:
-            redirect[nid] = resolve(live_ins[0])
-            removed.add(nid)
-        elif node.kind != OpKind.INPUT and not live_ins:
-            raise GraphStructureError(
-                f"live node {nid!r} lost every input during rewriting"
-            )
+        kind, preds = graph.nodes[nid].kind, graph.inputs(nid)
+        live = [p for p in preds if p in source]
+        if kind in (OpKind.INPUT, OpKind.CONV, OpKind.FULLY_CONNECTED):
+            cols[nid] = keep[coloring.node_segments[nid][0].group]
+        elif kind == OpKind.CONCAT:
+            starts = np.cumsum([0] + [len(alive[p]) for p in preds])
+            cols[nid] = np.concatenate([s + cols[p] for p, s in zip(preds, starts) if p in source])
+        else:
+            cols[nid] = cols[live[0]]
+        if kind in (OpKind.SUM, OpKind.CONCAT) and len(live) == 1:
+            source[nid] = source[live[0]]
+        else:
+            source[nid], inputs_of[nid] = nid, [source[p] for p in live]
 
-    # Drop nodes with no remaining path to the exit.
-    kept_ids = [nid for nid in graph.nodes if nid not in removed]
-    inputs_of = {
-        nid: [resolve(p) for p in graph.inputs(nid) if resolve(p) not in removed]
-        for nid in kept_ids
-    }
+    # Keep what the exit still depends on.
     useful = {graph.exit}
     stack = [graph.exit]
     while stack:
@@ -234,8 +220,7 @@ def rewrite(
                 stack.append(p)
     if graph.entry not in useful:
         raise EmptyNetwork("network exit no longer depends on its input")
-    removed.update(nid for nid in kept_ids if nid not in useful)
-    kept_ids = [nid for nid in kept_ids if nid in useful]
+    kept_ids = [nid for nid in graph.nodes if nid in useful]
 
     # Assemble the new graph with updated channel attributes.
     new_nodes: dict[str, OperatorNode] = {}
@@ -244,8 +229,8 @@ def rewrite(
         node = graph.nodes[nid]
         attrs = dict(node.attrs)
         if node.kind in (OpKind.CONV, OpKind.FULLY_CONNECTED):
-            attrs["in_channels"] = int(len(node_keep(inputs_of[nid][0])))
-            attrs["out_channels"] = int(len(node_keep(nid)))
+            attrs["in_channels"] = len(cols[graph.inputs(nid)[0]])
+            attrs["out_channels"] = len(cols[nid])
         new_nodes[nid] = replace(node, attrs=attrs)
         for slot, p in enumerate(inputs_of[nid]):
             new_edges.append((p, nid, slot))
@@ -256,25 +241,15 @@ def rewrite(
     entry_shape = shapes[graph.entry]
     new_shapes = infer_shapes(new_graph, entry_shape)
 
-    # Slice weights down to the kept channels.
+    # Slice weights down to the kept channels (axis 0 output, axis 1 input).
     new_weights: Weights = {}
     for nid in kept_ids:
-        if nid not in weights:
-            continue
-        node = graph.nodes[nid]
-        out_idx = node_keep(nid)
-        arrays = weights[nid]
-        if node.kind == OpKind.CONV:
-            in_idx = node_keep(inputs_of[nid][0])
-            new_weights[nid] = {"kernel": arrays["kernel"][out_idx][:, in_idx].copy()}
-        elif node.kind == OpKind.FULLY_CONNECTED:
-            in_idx = node_keep(inputs_of[nid][0])
+        if nid in weights:
+            out_idx, in_idx = cols[nid], cols[graph.inputs(nid)[0]]
             new_weights[nid] = {
-                "weight": arrays["weight"][out_idx][:, in_idx].copy(),
-                "bias": arrays["bias"][out_idx].copy(),
+                name: (arr[out_idx][:, in_idx] if arr.ndim > 1 else arr[out_idx]).copy()
+                for name, arr in weights[nid].items()
             }
-        elif node.kind == OpKind.BATCH_NORM:
-            new_weights[nid] = {name: arr[out_idx].copy() for name, arr in arrays.items()}
 
     new_coloring = identify_subgraphs(new_graph, new_shapes)
 
@@ -288,15 +263,9 @@ def rewrite(
         for group in new_coloring.prunable_groups():
             old_gid = old_group[group.id]
             if old_gid in gates.values:
-                carried = gates.values[old_gid][keep[old_gid]]
+                new_values[group.id] = gates.values[old_gid][keep[old_gid]]
             else:
-                carried = np.full(group.width, 1.0 / gates.steepness, dtype=np.float32)
-            if carried.shape[0] != group.width:
-                raise LengthMismatch(
-                    f"carried scores for group {group.id} have width "
-                    f"{carried.shape[0]}, expected {group.width}"
-                )
-            new_values[group.id] = carried.copy()
+                new_values[group.id] = np.full(group.width, 1.0 / gates.steepness, np.float32)
     new_gates = GateSet(
         values=new_values, steepness=gates.steepness, stiffening_sd=gates.stiffening_sd
     )
@@ -314,7 +283,7 @@ def rewrite(
             GroupPruneRecord(group=g.id, width=g.width, kept=int(len(keep[g.id])))
             for g in coloring.prunable_groups()
         ],
-        removed_nodes=tuple(sorted(removed)),
+        removed_nodes=tuple(sorted(set(graph.nodes) - useful)),
         params_before=sum(cost.params for cost in kept_before),
         flops_before=sum(cost.flops for cost in kept_before),
         params_after=after.relaxed_params,
@@ -378,27 +347,17 @@ def verify_equivalence(
 # -- gain folding -------------------------------------------------------------------
 
 
-def fold_gates(
-    graph: Graph,
-    coloring: Coloring,
-    gates: GateSet,
-    weights: Weights,
-) -> Weights:
+def fold_gates(coloring: Coloring, gates: GateSet, weights: Weights) -> Weights:
     """Bake the soft gains into the weights so the gates can be dropped.
 
-    Each gate site's kernel output channels (and a fully-connected layer's
-    bias) are scaled by its gains, so the result matches the gated network
-    exactly in both training and evaluation modes.
+    Every array of each gate site is scaled along its output-channel axis 0
+    by the site's gains, so the result matches the gated network exactly in
+    both training and evaluation modes.
     """
     new_weights: Weights = {
         nid: {name: arr.copy() for name, arr in per.items()} for nid, per in weights.items()
     }
     for nid, gains in gate_scales(coloring, snapshot(gates), np.float64).items():
-        arrs = new_weights[nid]
-        if graph.nodes[nid].kind == OpKind.CONV:
-            arrs["kernel"] *= gains[:, None, None, None].astype(arrs["kernel"].dtype)
-        else:
-            g = gains.astype(arrs["weight"].dtype)
-            arrs["weight"] *= g[:, None]
-            arrs["bias"] *= g
+        for arr in new_weights[nid].values():
+            arr *= gains.astype(arr.dtype).reshape((-1,) + (1,) * (arr.ndim - 1))
     return new_weights

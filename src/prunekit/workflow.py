@@ -73,10 +73,10 @@ METRIC_COLUMNS = (
 
 @dataclass
 class StepSpec:
-    """One workflow step: optional prune, optional training, optional test."""
+    """One workflow step: optional prune, training (none at ``epochs: 0``),
+    optional test."""
 
     prune: bool = False
-    train: bool = True
     test: bool = True
     threshold: float | None = None
     epochs: int = 1
@@ -392,9 +392,7 @@ def run(
         resume_step=start_step if resume_from is not None else None,
     )
 
-    first_train_step = next(
-        (i for i, s in enumerate(config.steps) if s.train and s.epochs > 0), None
-    )
+    first_train_step = next((i for i, s in enumerate(config.steps) if s.epochs > 0), None)
 
     for step_index in range(start_step, len(config.steps)):
         spec = config.steps[step_index]
@@ -430,7 +428,7 @@ def run(
                 score=f"{residual:.3e}", seconds=f"{time.perf_counter() - step_t0:.3f}",
             )
 
-        if spec.train and spec.epochs > 0:
+        if spec.epochs > 0:
             # "auto" weights, and with them the pressure, are off until the
             # warm-up has measured the loss scale.
             obj = config.objective.resolved(0.0 if loss_scale is None else loss_scale)
@@ -496,12 +494,12 @@ def run(
                 },
             )
 
-    final_weights = fold_gates(graph, coloring, gates, weights)
+    final_weights = fold_gates(coloring, gates, weights)
     if out_dir is not None:
         graphio.save(graph, str(out_dir / "final_graph.txt"))
         save_checkpoint(
             out_dir / "final_model.npz", graph=graph, weights=final_weights,
-            meta={"folded": True, "baseline": list(baseline), "entry_shape": entry_dims},
+            meta={"baseline": list(baseline), "entry_shape": entry_dims},
         )
         if gates.values:
             (out_dir / "gates_snapshot.txt").write_text(export_snapshot(gates))

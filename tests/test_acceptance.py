@@ -252,7 +252,7 @@ def test_criterion_3_rewrite_and_fold_reproduce_the_masked_network():
 
         # Folding the carried-over gains must let the small network run with
         # no gates at all and still match the masked original.
-        folded = fold_gates(result.graph, result.coloring, result.gates, result.weights)
+        folded = fold_gates(result.coloring, result.gates, result.weights)
         scales = masked_scales(graph, coloring, gates, masks)
         probe_rng = np.random.default_rng(seed + 104729)
         worst = 0.0

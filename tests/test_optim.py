@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from prunekit.cli import main as cli_main
 from prunekit.engine import init_weights
 from prunekit.errors import CheckpointError, InvalidConfig, NonFiniteGradient
 from prunekit.graph import TensorShape, infer_shapes
@@ -235,12 +236,12 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("part, name", [
         ("header", "graph"),
-        ("header", "w_index"),
+        ("header", "index"),
         ("header", "gates"),
         ("header", "opt_t"),
-        ("array", "w00003"),
-        ("array", "g00001"),
-        ("array", "o00000"),
+        ("array", "w"),
+        ("array", "s"),
+        ("array", "m"),
     ])
     def test_malformed_checkpoint(self, tmp_path, part, name):
         graph, weights, gates, opt, rng = self.build_state()
@@ -249,16 +250,43 @@ class TestCheckpoints:
                         optimizer=opt, rng=rng, meta={})
         with np.load(path) as archive:
             arrays = {key: archive[key] for key in archive.files}
+        header = json.loads(arrays["header"].tobytes().decode("utf-8"))
         if part == "header":
-            header = json.loads(arrays["header"].tobytes().decode("utf-8"))
             del header[name]
             arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
         else:
+            # the first array whose index entry is of this kind
+            i = next(i for i, key in enumerate(header["index"]) if key[0] == name)
+            name = f"a{i:05d}"
             del arrays[name]
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
         with pytest.raises(CheckpointError, match=f"lacks '{name}'"):
             load_checkpoint(str(bad))
+
+    def write_version_1(self, path):
+        """An archive in the version-1 layout: one prefix and one index list
+        per kind of array."""
+        graph, weights, _, _, _ = self.build_state()
+        w_index = [[nid, name] for nid in sorted(weights) for name in sorted(weights[nid])]
+        arrays = {f"w{i:05d}": weights[nid][name] for i, (nid, name) in enumerate(w_index)}
+        header = {"version": 1, "graph": serialize(graph), "meta": {}, "w_index": w_index}
+        arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+
+    def test_version_1_archive_refused(self, tmp_path):
+        path = tmp_path / "v1.npz"
+        self.write_version_1(path)
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(str(path))
+
+    def test_eval_on_version_1_archive_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "v1.npz"
+        self.write_version_1(path)
+        assert cli_main(["eval", "--checkpoint", str(path), "--size", "40"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unsupported checkpoint version 1" in err
 
     def test_no_stray_tmp_file(self, tmp_path):
         graph, weights, gates, opt, rng = self.build_state()

@@ -61,7 +61,7 @@ def backward_capturing(run, output_grad):
 @given(seed=st.integers(0, 5000), training=st.booleans())
 def test_folded_weights_match_gate_scales(seed, training):
     graph, col, weights, gates, x = gated_case(seed)
-    folded = fold_gates(graph, col, gates, weights)
+    folded = fold_gates(col, gates, weights)
     gated = forward(
         graph, copy.deepcopy(weights), x,
         node_scales=gate_scales(col, snapshot(gates), x.dtype), training=training,
@@ -170,6 +170,28 @@ def test_gate_sites_are_the_producers_of_prunable_groups(seed, allow_unknown):
     assert gate_sites(col) == expected
     # So every gated group's gains reach the network, and fold into weights.
     assert {g.id for g in col.prunable_groups()} <= set(expected.values())
+
+
+@PROPERTY
+@given(seed=st.integers(0, 5000), allow_unknown=st.booleans(),
+       survivors=st.sampled_from([0, 1]), keep=st.sampled_from([0.2, 0.6]))
+def test_live_nodes_have_live_inputs_back_to_the_entry(seed, allow_unknown, survivors, keep):
+    # The invariant of alive_channels that lets rewrite assume every live
+    # node but the entry keeps an input, and a live exit still reaches it.
+    graph, _, _, col = grouped_setup(seed, allow_unknown=allow_unknown)
+    rng = np.random.default_rng(seed + 1)
+    masks = MaskSet(random_masks(col, rng, keep, min_survivors=survivors), threshold=0.5)
+    live = {nid for nid, flags in alive_channels(graph, col, masks).items() if np.any(flags)}
+    for nid in live - {graph.entry}:
+        assert any(p in live for p in graph.inputs(nid)), nid
+    if graph.exit in live:
+        reached, stack = {graph.exit}, [graph.exit]
+        while stack:
+            for p in graph.inputs(stack.pop()):
+                if p in live and p not in reached:
+                    reached.add(p)
+                    stack.append(p)
+        assert graph.entry in reached
 
 
 def report_text(graph, coloring, gates, shapes):

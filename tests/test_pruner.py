@@ -197,6 +197,36 @@ class TestRewrite:
         assert result.report.params_before == result.report.params_after
         assert result.report.flops_before == result.report.flops_after
 
+    @pytest.mark.parametrize("dead", ["a", "b"])
+    def test_concat_left_with_one_operand_is_spliced_away(self, dead):
+        # in -> a, b -> Concat(a, b) -> c3: once one operand dies, c3 reads
+        # the live one directly, with the kept columns at their new offsets.
+        nodes = [
+            simple_node("in", OpKind.INPUT), conv_node("a", 2, 3, 1), conv_node("b", 2, 4, 1),
+            simple_node("cat", OpKind.CONCAT), conv_node("c3", 7, 5, 1),
+            simple_node("out", OpKind.OUTPUT),
+        ]
+        edges = [("in", "a", 0), ("in", "b", 0), ("a", "cat", 0), ("b", "cat", 1),
+                 ("cat", "c3", 0), ("c3", "out", 0)]
+        graph = Graph({n.id: n for n in nodes}, tuple(edges), "in", "out")
+        entry = TensorShape(2, 2, (4, 4))
+        shapes = infer_shapes(graph, entry)
+        col = identify_subgraphs(graph, shapes)
+        weights = init_weights(graph, shapes, np.random.default_rng(0))
+        live = "b" if dead == "a" else "a"
+        live_mask = np.array([1, 0, 1, 1][: shapes[live].channels], dtype=np.int8)
+        masks = MaskSet({producer_group(col, dead): np.zeros(shapes[dead].channels, np.int8),
+                         producer_group(col, live): live_mask}, threshold=0.5)
+        ungated = GateSet(values={})
+        result = rewrite(graph, col, weights, ungated, masks, shapes)
+        assert result.report.removed_nodes == tuple(sorted((dead, "cat")))
+        assert result.graph.inputs("c3") == (live,)
+        offset = 0 if live == "a" else 3  # the live operand's columns in the Concat
+        columns = offset + np.flatnonzero(live_mask)
+        np.testing.assert_array_equal(result.weights["c3"]["kernel"],
+                                      weights["c3"]["kernel"][:, columns])
+        assert verify_equivalence(graph, col, weights, ungated, masks, result, entry) == 0.0
+
     def test_all_dead_network_raises(self):
         graph, entry, shapes, col, weights, gates = model_setup()
         masks = MaskSet(
@@ -266,7 +296,7 @@ class TestMaskedScales:
 class TestFolding:
     def test_producer_fold_exact_in_both_modes(self):
         graph, entry, shapes, col, weights, gates = model_setup(dtype=np.float64)
-        folded = fold_gates(graph, col, gates, weights)
+        folded = fold_gates(col, gates, weights)
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, entry.dims())
         scales = gate_scales(col, snapshot(gates), x.dtype)
@@ -303,7 +333,7 @@ class TestFolding:
         weights = init_weights(graph, infer_shapes(graph, entry), rng, dtype=np.float64)
         weights["fc1"]["bias"] = rng.normal(0, 1, 5)
         gates = random_gates(col, rng, dtype=np.float64)
-        folded = fold_gates(graph, col, gates, weights)
+        folded = fold_gates(col, gates, weights)
         gains = sigma(gates.values[gid], gates.steepness)
         np.testing.assert_allclose(folded["fc1"]["bias"], weights["fc1"]["bias"] * gains)
         x = rng.normal(0, 1, entry.dims())

@@ -111,6 +111,7 @@ class TestWorkflowConfig:
         ({"objective": {"mu": [[0, 0.5], [3]]}}, "objective.mu"),
         ({"objective": {"lam": [0.2]}}, "objective.lam"),
         ({"steps": ["warmup"]}, "steps[0]"),
+        ({"steps": [{"train": False, "epochs": 1}]}, "train"),
     ])
     def test_from_dict_names_bad_nested_keys(self, raw, named):
         with pytest.raises(InvalidConfig, match=re.escape(named)):
