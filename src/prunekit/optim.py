@@ -182,8 +182,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; anything unreadable or missing raises
-    :class:`CheckpointError` naming what is wrong."""
+    """Read a checkpoint; an unreadable archive, another version or a
+    missing part (named) raises :class:`CheckpointError`."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no checkpoint at {path}")
@@ -201,38 +201,34 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
 
-    def lacks(what: str) -> CheckpointError:
-        return CheckpointError(f"checkpoint {path} lacks {what}")
+    try:
+        graph = deserialize(header["graph"])
+        weights: Weights = {}
+        values: dict[int, np.ndarray] = {}
+        slots: dict[ParamKey, dict[str, np.ndarray]] = {}
+        for i, key in enumerate(header["index"]):
+            arr = arrays[f"a{i:05d}"]
+            if key[0] == "w":
+                weights.setdefault(key[1], {})[key[2]] = arr
+            elif key[0] == "s":
+                values[int(key[1])] = arr
+            else:
+                slots.setdefault(tuple(key[1:]), {})[key[0]] = arr
+        # Gate scores need their record, and moments their step count.
+        gates = GateSet(values={})
+        if values or "gates" in header:
+            record = header["gates"]
+            gates = GateSet(values=values, steepness=record["steepness"],
+                            stiffening_sd=record["stiffening_sd"])
+        opt_state = {"t": header["opt_t"], "slots": slots} if slots or "opt_t" in header else None
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {path} lacks {exc}") from exc
 
-    for key in ("graph", "index"):
-        if key not in header:
-            raise lacks(repr(key))
-    weights: Weights = {}
-    values: dict[int, np.ndarray] = {}
-    slots: dict[ParamKey, dict[str, np.ndarray]] = {}
-    for i, key in enumerate(header["index"]):
-        name = f"a{i:05d}"
-        if name not in arrays:
-            raise lacks(f"{name!r}, array {key}")
-        if key[0] == "w":
-            weights.setdefault(key[1], {})[key[2]] = arrays[name]
-        elif key[0] == "s":
-            values[int(key[1])] = arrays[name]
-        else:
-            slots.setdefault(tuple(key[1:]), {})[key[0]] = arrays[name]
-    if values and "gates" not in header:
-        raise lacks("'gates', the record of its gate arrays")
-    if slots and "opt_t" not in header:
-        raise lacks("'opt_t', the step count of its optimizer moments")
-
-    record = header.get("gates")
     return Checkpoint(
-        graph=deserialize(header["graph"]),
+        graph=graph,
         weights=weights,
-        gates=GateSet(values={}) if record is None else GateSet(
-            values=values, steepness=record["steepness"], stiffening_sd=record["stiffening_sd"]
-        ),
-        opt_state={"t": header["opt_t"], "slots": slots} if "opt_t" in header else None,
+        gates=gates,
+        opt_state=opt_state,
         rng_state=header.get("rng_state"),
         meta=header.get("meta", {}),
     )

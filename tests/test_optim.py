@@ -242,6 +242,7 @@ class TestCheckpoints:
         ("array", "w"),
         ("array", "s"),
         ("array", "m"),
+        ("gates", "steepness"),
     ])
     def test_malformed_checkpoint(self, tmp_path, part, name):
         graph, weights, gates, opt, rng = self.build_state()
@@ -251,14 +252,14 @@ class TestCheckpoints:
         with np.load(path) as archive:
             arrays = {key: archive[key] for key in archive.files}
         header = json.loads(arrays["header"].tobytes().decode("utf-8"))
-        if part == "header":
-            del header[name]
-            arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-        else:
+        if part == "array":
             # the first array whose index entry is of this kind
             i = next(i for i, key in enumerate(header["index"]) if key[0] == name)
             name = f"a{i:05d}"
             del arrays[name]
+        else:
+            del (header if part == "header" else header["gates"])[name]
+            arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
         with pytest.raises(CheckpointError, match=f"lacks '{name}'"):
