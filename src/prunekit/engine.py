@@ -11,7 +11,12 @@ tape, so an activation outlives its consumers only where a tape record holds
 what backward reads. Each record keeps no more than its backward reads:
 Convolution its padded input planes, FullyConnected its input, BatchNorm the
 centred input, ReLU its output, MaxPool its input and output, Product its
-inputs, and Sum, Concat and Upsample nothing but widths and indices.
+inputs, and Sum, Concat and Upsample nothing but widths and indices. An op
+owns the list of inputs ``forward`` hands it, and ``forward`` keeps no other
+reference to an input whose last consumer is running (the caller's batch
+aside), so an op that takes such an input out of the list frees it as soon
+as it lets go: BatchNorm drops its input once the centred copy exists and so
+never holds its input, the centred input and its output together.
 ``forward(..., tape=False)`` drops each op's backward as soon as the op
 returns, so such a pass holds only the activations still to be consumed;
 ``evaluate`` and ``verify_equivalence`` run that way, and backward on such a
@@ -48,12 +53,22 @@ Convolution layout: the input is zero-padded, made channel-major and split
 into its ``sh * sw`` stride phases (fewer when the kernel is narrower than
 the stride), giving planes of shape ``(phases, c_in, b * hq * wq)`` over a
 ``hq x wq`` grid per image. In that layout the window of every kernel tap
-``(ki, kj)`` is one contiguous slice of one phase plane, so forward is
-``kh * kw`` block copies and one GEMM over the whole grid, cropped back to
-NCHW; ``dx`` is one GEMM against the stacked kernel followed by ``kh * kw``
-slice-adds and one copy out of the phases; ``dkernel`` is one GEMM against
-the same tap slices, rebuilt for that GEMM and released after it. A
-convolution's tape record keeps only the padded planes.
+``(ki, kj)`` is one contiguous slice of one phase plane. The tap matrix
+stacks those slices, ``(kh * kw * c_in, b * hq * wq)``, and is built in
+blocks of at most ``_BLOCK_BYTES`` (2 MiB) but never less than one image or
+one tap, so a pass's memory does not grow with the batch. Forward blocks are
+whole images: each is ``kh * kw`` slice copies and one GEMM over the block's
+grid columns, cropped and transposed straight into the NCHW output. Backward
+blocks are runs of whole taps: each gives its ``dkernel`` rows from one GEMM
+of its tap rows against the padded output gradient, and its share of ``dx``
+from one GEMM against the matching kernel columns, added into the padded
+gradient planes in tap order; one copy out of the phases then gives ``dx``.
+Blocking splits the GEMMs along their output columns or rows only and
+reorders no reduction of this module; a small layer is one block in each
+pass, as is every resnet18 w16 convolution at 8x8 and batch 8. The BLAS may
+still pick its kernel by a call's shape, so a split GEMM can round
+differently from a whole one. A convolution's tape record keeps only the
+padded planes.
 
 Pooling layout: tap ``(i, j)`` of the non-overlapping ``f x f`` windows is
 the strided view ``x[:, :, i:oh*f:f, j:ow*f:f]``. MaxPool's forward is a copy
@@ -95,6 +110,8 @@ _Record = tuple[str, tuple[str, ...], Callable | None, tuple[np.ndarray, np.ndar
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# Most bytes of tap matrix a convolution builds at once (see Convolution layout).
+_BLOCK_BYTES = 2 << 20
 
 
 # -- weight initialisation -----------------------------------------------------
@@ -433,29 +450,45 @@ def _op_conv(node, xs, w, x0, training):
     for a, c, xr, xc, gr, gc in phases:
         grid[a, c, :, :, gr, gc] = x[:, :, xr, xc].transpose(1, 0, 2, 3)
 
-    def gather():
-        cols = np.empty((kh * kw, ci, n_out), dtype=planes.dtype)
-        for t, (a, c, d) in enumerate(taps):
-            cols[t] = planes[a, c, :, d:d + n_out]
-        return cols.reshape(kh * kw * ci, n_out)
+    def gather(t0, t1, n0, n1):
+        """Tap matrix rows of taps ``t0:t1`` over grid columns ``n0:n1``."""
+        cols = np.empty((t1 - t0, ci, n1 - n0), dtype=planes.dtype)
+        for t, (a, c, d) in enumerate(taps[t0:t1]):
+            cols[t] = planes[a, c, :, d + n0:d + n1]
+        return cols.reshape((t1 - t0) * ci, n1 - n0)
 
+    # Forward blocks are whole images: each splits the GEMM along its output
+    # columns only, and its result is cropped straight into y.
     kmat = kernel.transpose(0, 2, 3, 1).reshape(co, kh * kw * ci)
-    y = (kmat @ gather()).reshape(co, b, hq, wq)[:, :, :oh, :ow]
-    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+    hw = hq * wq
+    step = max(1, _BLOCK_BYTES // max(1, kh * kw * ci * hw * planes.itemsize))
+    y = np.empty((b, co, oh, ow), dtype=np.result_type(kmat, planes))
+    for i in range(0, b, step):
+        j = min(i + step, b)
+        ymat = (kmat @ gather(0, len(taps), i * hw, j * hw)).reshape(co, j - i, hq, wq)
+        y[i:j] = ymat[:, :, :oh, :ow].transpose(1, 0, 2, 3)
 
     def fn(gy):
         gmat = np.zeros((co, b, hq, wq), dtype=gy.dtype)
         gmat[:, :, :oh, :ow] = gy.transpose(1, 0, 2, 3)
         gmat = gmat.reshape(co, n_out)
-        dkernel = (gather() @ gmat.T).reshape(kh, kw, ci, co).transpose(3, 2, 0, 1)
-        dcols = (kmat.T @ gmat).reshape(kh * kw, ci, n_out)
+        # Backward blocks are runs of taps: each splits both GEMMs along
+        # their output rows only, and its dx share is added in tap order.
+        dkernel = np.empty((kh * kw * ci, co), dtype=np.result_type(planes, gmat))
         dplanes = np.zeros_like(planes)
-        for t, (a, c, d) in enumerate(taps):
-            dplanes[a, c, :, d:d + n_out] += dcols[t]
+        step = max(1, _BLOCK_BYTES // max(1, ci * n_out * planes.itemsize))
+        for t0 in range(0, len(taps), step):
+            t1 = min(t0 + step, len(taps))
+            rows = slice(t0 * ci, t1 * ci)
+            dkernel[rows] = gather(t0, t1, 0, n_out) @ gmat.T
+            dcols = (kmat[:, rows].T @ gmat).reshape(t1 - t0, ci, n_out)
+            for (a, c, d), dcol in zip(taps[t0:t1], dcols):
+                dplanes[a, c, :, d:d + n_out] += dcol
         dgrid = dplanes[..., :n_out].reshape(grid.shape)
         dx = np.zeros((b, ci, h, wdt), dtype=gy.dtype)
         for a, c, xr, xc, gr, gc in phases:
             dx[:, :, xr, xc] = dgrid[a, c, :, :, gr, gc].transpose(1, 0, 2, 3)
+        dkernel = dkernel.reshape(kh, kw, ci, co).transpose(3, 2, 0, 1)
         return [dx], {("w", node.id, "kernel"): np.ascontiguousarray(dkernel)}
 
     return y, fn
@@ -482,7 +515,8 @@ def _op_fc(node, xs, w, x0, training):
 
 
 def _op_batchnorm(node, xs, w, x0, training):
-    x = xs[0]
+    # Taking x out of xs lets it go once xc exists (see Lifetimes).
+    x = xs.pop()
     gamma, beta = w["gamma"], w["beta"]
     if x.shape[1] != gamma.shape[0]:
         raise ShapeMismatch(
@@ -502,10 +536,11 @@ def _op_batchnorm(node, xs, w, x0, training):
     else:
         xc = x3 - w["running_mean"].astype(x.dtype)[:, None]
         var64 = w["running_var"].astype(np.float64)
+    del x, x3
     # xhat = xc * inv is never formed: its per-channel factor is folded into
     # the output scale and into backward's channel sums.
     inv = 1.0 / np.sqrt(var64 + BN_EPS)
-    scale = (gamma * inv).astype(x.dtype)[:, None]
+    scale = (gamma * inv).astype(xc.dtype)[:, None]
     y = xc * scale
     y += beta[:, None]
 

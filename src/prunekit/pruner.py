@@ -25,7 +25,7 @@ from .accounting import structure_measures
 from .engine import Weights, forward
 from .errors import EmptyNetwork, InvalidConfig, ShapeDrift
 from .graph import Graph, OpKind, OperatorNode, TensorShape, infer_shapes
-from .relax import GateSet, MaskSet, gate_scales, snapshot
+from .relax import GateSet, MaskSet, gate_scales, sigma, snapshot
 from .subgraph import Coloring, identify_subgraphs
 
 _CLAMPED = (OpKind.CONV, OpKind.FULLY_CONNECTED, OpKind.BATCH_NORM)
@@ -169,7 +169,10 @@ def rewrite(
     whose outputs are entirely dead are removed; joins left with one operand
     are spliced away; anything no longer on a path to the exit is dropped.
     Gate scores for surviving channels carry over to the new graph's groups;
-    an ungated network (empty ``gates``) stays ungated.
+    a group the cut made prunable gets a fresh score, and its producers'
+    arrays are divided by that score's gain, so the new graph still runs
+    those channels at gain 1. An ungated network (empty ``gates``) stays
+    ungated.
     """
     alive = alive_channels(graph, coloring, masks)
     if not np.any(alive[graph.exit]):
@@ -255,6 +258,8 @@ def rewrite(
 
     # Carry surviving gate scores over to the new grouping: a new group takes
     # the scores of the old group that its first producer (by node id) seeded.
+    # A group the cut made prunable ran ungated, at gain 1: it gets a fresh
+    # score, and its producers' arrays are divided by the fresh gain.
     new_values: dict[int, np.ndarray] = {}
     if gates.values:
         old_group: dict[int, int] = {}
@@ -264,8 +269,13 @@ def rewrite(
             old_gid = old_group[group.id]
             if old_gid in gates.values:
                 new_values[group.id] = gates.values[old_gid][keep[old_gid]]
-            else:
-                new_values[group.id] = np.full(group.width, 1.0 / gates.steepness, np.float32)
+                continue
+            new_values[group.id] = np.full(group.width, 1.0 / gates.steepness, np.float32)
+            gain = sigma(new_values[group.id], gates.steepness)
+            for nid, gid in new_coloring.producers.items():
+                if gid == group.id:
+                    for arr in new_weights[nid].values():
+                        arr /= _rows(gain, arr)
     new_gates = GateSet(
         values=new_values, steepness=gates.steepness, stiffening_sd=gates.stiffening_sd
     )
@@ -359,5 +369,10 @@ def fold_gates(coloring: Coloring, gates: GateSet, weights: Weights) -> Weights:
     }
     for nid, gains in gate_scales(coloring, snapshot(gates), np.float64).items():
         for arr in new_weights[nid].values():
-            arr *= gains.astype(arr.dtype).reshape((-1,) + (1,) * (arr.ndim - 1))
+            arr *= _rows(gains, arr)
     return new_weights
+
+
+def _rows(v: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Per-channel ``v`` in ``arr``'s dtype, shaped to scale its axis 0."""
+    return v.astype(arr.dtype).reshape((-1,) + (1,) * (arr.ndim - 1))
