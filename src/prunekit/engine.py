@@ -56,19 +56,19 @@ the stride), giving planes of shape ``(phases, c_in, b * hq * wq)`` over a
 ``(ki, kj)`` is one contiguous slice of one phase plane. The tap matrix
 stacks those slices, ``(kh * kw * c_in, b * hq * wq)``, and is built in
 blocks of at most ``_BLOCK_BYTES`` (2 MiB) but never less than one image or
-one tap, so a pass's memory does not grow with the batch. Forward blocks are
-whole images: each is ``kh * kw`` slice copies and one GEMM over the block's
-grid columns, cropped and transposed straight into the NCHW output. Backward
-blocks are runs of whole taps: each gives its ``dkernel`` rows from one GEMM
-of its tap rows against the padded output gradient, and its share of ``dx``
-from one GEMM against the matching kernel columns, added into the padded
-gradient planes in tap order; one copy out of the phases then gives ``dx``.
-Blocking splits the GEMMs along their output columns or rows only and
-reorders no reduction of this module; a small layer is one block in each
-pass, as is every resnet18 w16 convolution at 8x8 and batch 8. The BLAS may
-still pick its kernel by a call's shape, so a split GEMM can round
-differently from a whole one. A convolution's tape record keeps only the
-padded planes.
+one tap, so the tap matrix's memory does not grow with the batch. Forward
+blocks are whole images: each is ``kh * kw`` slice copies and one GEMM over
+the block's grid columns, cropped and transposed straight into the NCHW
+output. Backward blocks are runs of whole taps: each gives its ``dkernel``
+rows from one GEMM of its tap rows against the padded output gradient, and
+its share of ``dx`` from one GEMM against the matching kernel columns, added
+into the padded gradient planes in tap order; one copy out of the phases
+then gives ``dx``. Blocking splits the GEMMs along their output columns or
+rows only and reorders no reduction of this module; a small layer is one
+block in each pass, as is every resnet18 w16 convolution at 8x8 and batch 8.
+The BLAS may still pick its kernel by a call's shape, so a split GEMM can
+round differently from a whole one. A convolution's tape record keeps only
+the padded planes.
 
 Pooling layout: tap ``(i, j)`` of the non-overlapping ``f x f`` windows is
 the strided view ``x[:, :, i:oh*f:f, j:ow*f:f]``. MaxPool's forward is a copy

@@ -258,8 +258,6 @@ def rewrite(
 
     # Carry surviving gate scores over to the new grouping: a new group takes
     # the scores of the old group that its first producer (by node id) seeded.
-    # A group the cut made prunable ran ungated, at gain 1: it gets a fresh
-    # score, and its producers' arrays are divided by the fresh gain.
     new_values: dict[int, np.ndarray] = {}
     if gates.values:
         old_group: dict[int, int] = {}

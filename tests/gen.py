@@ -188,6 +188,31 @@ def random_graph(
     return graph, entry_shape
 
 
+def random_conv(seed: int, dtype=np.float32):
+    """A random convolution node (id ``"c"``) with an input batch, a kernel
+    and an output gradient for it.
+
+    Kernels are 1-5 per axis, strides 1-2 and padding 0-2; the batch is 1-4
+    and each side has 0-6 channels. Feature maps run from the smallest the
+    kernel admits, often a single pixel, to five more per axis.
+    """
+    rng = np.random.default_rng(seed)
+    kernel = tuple(int(k) for k in rng.integers(1, 6, size=2))
+    stride = tuple(int(s) for s in rng.integers(1, 3, size=2))
+    padding = tuple(int(p) for p in rng.integers(0, 3, size=2))
+    size = tuple(
+        int(rng.integers(max(1, k - 2 * p), max(1, k - 2 * p) + 6))
+        for k, p in zip(kernel, padding)
+    )
+    b, ci, co = int(rng.integers(1, 5)), int(rng.integers(0, 7)), int(rng.integers(0, 7))
+    out = tuple((n + 2 * p - k) // s + 1 for n, k, s, p in zip(size, kernel, stride, padding))
+    node = conv_node("c", ci, co, kernel=kernel, stride=stride, padding=padding)
+    x = rng.normal(0, 1, (b, ci, *size)).astype(dtype)
+    k = rng.normal(0, 1, (co, ci, *kernel)).astype(dtype)
+    gy = rng.normal(0, 1, (b, co, *out)).astype(dtype)
+    return node, x, k, gy
+
+
 def producer_group(coloring: Coloring, node_id: str) -> int:
     """Group id of the channels a Convolution/FullyConnected produces."""
     (segment,) = coloring.node_segments[node_id]

@@ -3,11 +3,15 @@ activation lifetimes."""
 import copy
 import gc
 import tracemalloc
+import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from prunekit import engine
 from prunekit.engine import (
     BN_EPS,
     forward,
@@ -29,11 +33,11 @@ from prunekit.graph import (
     infer_shapes,
     simple_node,
 )
-from prunekit.models import resnet8
+from prunekit.models import build_reference_model, resnet8, unet_small
 from prunekit.relax import GateSet, gate_scales, score_grads, sigma, snapshot
 from prunekit.subgraph import identify_subgraphs
 
-from gen import gated_setups, grouped_setup, random_gates
+from gen import gated_setups, grouped_setup, random_conv, random_gates
 from oracles import (
     naive_batchnorm,
     naive_batchnorm_backward,
@@ -249,6 +253,101 @@ class TestConvBackwardOracles:
         # float32 rounding over sums of at most a few hundred O(1) terms
         for lo, hi in zip(results[np.float32], results[np.float64]):
             np.testing.assert_allclose(lo, hi, rtol=1e-5, atol=1e-5 * np.max(np.abs(hi)))
+
+
+class TestConvOraclesAtTheSmallestBlocks(TestConvBackwardOracles):
+    """Every convolution oracle again, with each pass split into its
+    smallest blocks: one image per forward block, one tap per backward
+    block."""
+
+    test_conv_matches_direct_loops = TestForwardOracles.test_conv_matches_direct_loops
+
+    @pytest.fixture(autouse=True)
+    def smallest_blocks(self, monkeypatch):
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)
+
+
+def conv_pass(node, x, kernel, gy):
+    """``y``, ``dx`` and ``dkernel`` of one convolution."""
+    run = forward(chain_graph(node), {"c": {"kernel": kernel}}, x)
+    (dx,), grads = op_record(run, "c")(gy)
+    return run.output, dx, grads[("w", "c", "kernel")]
+
+
+class BlockRounding(UserWarning):
+    """The BLAS rounded a split GEMM differently from the whole one."""
+
+
+class TestConvBlocks:
+    """Blocking the tap matrix changes which GEMM calls a convolution makes,
+    never the terms or the order of any reduction the engine does itself."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 5000), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_smallest_blocks_change_outputs_by_gemm_rounding_at_most(self, seed, dtype):
+        """``y``, ``dx`` and ``dkernel`` at the default budget and at the
+        smallest blocks differ by no more than two GEMMs' rounding error,
+        ``n * eps * sum |terms|`` for ``n`` terms, where ``sum |terms|`` is
+        the same pass in float64 on absolute values. A block that read the
+        wrong taps, images or kernel columns would miss by a whole term.
+        The BLAS picks its kernel by a call's shape, and on small GEMMs a
+        split call can round differently from the whole one (OpenBLAS 0.3
+        on AVX-512 does so in about two cases in five here); each such case
+        is reported as a ``BlockRounding`` warning."""
+        node, x, kernel, gy = random_conv(seed, dtype)
+        whole = conv_pass(node, x, kernel, gy)
+        with mock.patch.object(engine, "_BLOCK_BYTES", 1):
+            split = conv_pass(node, x, kernel, gy)
+        terms = conv_pass(node, *(np.abs(a).astype(np.float64) for a in (x, kernel, gy)))
+        b, ci, h, w = x.shape
+        co, _, kh, kw = kernel.shape
+        ph, pw = (int(p) for p in node.attr("padding"))
+        counts = (kh * kw * ci, (co + 1) * kh * kw, b * (h + 2 * ph + kh) * (w + 2 * pw + kw))
+        eps = np.finfo(dtype).eps
+        for name, a, c, t, n in zip(("y", "dx", "dkernel"), whole, split, terms, counts):
+            assert a.dtype == c.dtype == dtype and a.shape == c.shape, name
+            gap = np.abs(a.astype(np.float64) - c)
+            assert np.all(gap <= n * eps * t), (name, float(np.max(gap - n * eps * t)))
+            if a.tobytes() != c.tobytes():
+                warnings.warn(BlockRounding(
+                    f"{name} of {node.attrs} on {x.shape} in {np.dtype(dtype).name}: "
+                    f"{int(np.count_nonzero(a != c))} of {a.size} values differ, "
+                    f"by at most {float(np.max(gap)):.3g}"
+                ))
+
+    @pytest.mark.parametrize(
+        "model,args,batch,training",
+        [
+            ("resnet8", {"width": 16, "classes": 4}, 112, False),
+            ("resnet8", {"width": 16, "classes": 4}, 32, True),
+            ("unet-small", {"width": 8, "classes": 3, "depth": 3}, 16, True),
+        ],
+        ids=["resnet8-eval-112", "resnet8-train-32", "unet-small-train-16"],
+    )
+    def test_blocked_layers_match_one_block_bitwise(self, model, args, batch, training):
+        """The benchmark's passes, at their model sizes and batches: the
+        tape-free evaluation pass and the training step. The default budget
+        splits their large convolutions (up to ten forward and nine
+        backward blocks here), and the output and every gradient keep the
+        bits of a pass that builds each tap matrix whole. If the BLAS breaks
+        this, fixed-seed runs no longer reproduce across budgets, and this
+        test says so."""
+        graph = build_reference_model(model, **args)
+        shapes = infer_shapes(graph, TensorShape(batch, 3, (32, 32)))
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
+        results = []
+        for budget in (engine._BLOCK_BYTES, 2**62):
+            weights = init_weights(graph, shapes, np.random.default_rng(0))
+            with mock.patch.object(engine, "_BLOCK_BYTES", budget):
+                run = forward(graph, weights, x, training=training, tape=training)
+                gy = np.random.default_rng(4).standard_normal(run.output.shape).astype(np.float32)
+                results.append((run.output, run.backward(gy) if training else {}))
+        (y, grads), (want_y, want_grads) = results
+        assert_bitwise_equal(y, want_y)
+        assert grads.keys() == want_grads.keys()
+        for key in want_grads:
+            assert_bitwise_equal(grads[key], want_grads[key])
 
 
 # Window contents for the max-pool cases: plain values, ReLU outputs (many
@@ -550,25 +649,53 @@ class TestRunSemantics:
 
 class TestActivationLifetimes:
     """Bytes a forward pass allocates, traced by ``tracemalloc`` (NumPy
-    reports its array buffers to it), on resnet8 w16 at 32x32 in float32."""
+    reports its array buffers to it), on resnet8 w16 and unet-small w8 at
+    32x32 in float32."""
 
     GRAPH = resnet8(width=16, classes=4, in_channels=3, input_size=32)
+    UNET = unet_small(width=8, classes=3, in_channels=3, depth=3)
 
-    def traced_forward(self, batch, **kwargs):
-        """The run, the traced peak and the bytes still held after it returns,
-        both above what was allocated before the call."""
-        shapes = infer_shapes(self.GRAPH, TensorShape(batch, 3, (32, 32)))
-        weights = init_weights(self.GRAPH, shapes, np.random.default_rng(0))
+    def traced_forward(self, batch, graph=GRAPH, backward=False, **kwargs):
+        """The run, the traced peak and the bytes still held after it returns
+        (after its backward too, with ``backward``), both above what was
+        allocated before the call."""
+        shapes = infer_shapes(graph, TensorShape(batch, 3, (32, 32)))
+        weights = init_weights(graph, shapes, np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((batch, 3, 32, 32)).astype(np.float32)
         gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run = forward(self.GRAPH, weights, x, **kwargs)
+            run = forward(graph, weights, x, **kwargs)
+            if backward:
+                run.backward(np.ones_like(run.output))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return run, peak - base, held - base, shapes
+
+    def test_resnet8_eval_peak_is_bounded(self):
+        """The evaluation pass of resnet8 w16 at batch 112 peaks at about
+        14 MB: each convolution's tap matrix is built a few images at a time
+        and BatchNorm lets its input go early. A pass that built each tap
+        matrix whole peaked at 25.2 MB."""
+        _, peak, _, _ = self.traced_forward(112, training=False, tape=False)
+        assert peak < 16 * 2**20, peak / 2**20
+
+    def test_unet_eval_peak_is_bounded(self):
+        """unet-small w8's evaluation pass at batch 32 peaks at about 9 MB.
+        With whole tap matrices it peaked at 36 MB, 28.7 MB of them the tap
+        matrix of ``dec1.a.conv`` (3x3 over 24 channels at 32x32)."""
+        _, peak, _, _ = self.traced_forward(32, graph=self.UNET, training=False, tape=False)
+        assert peak < 12 * 2**20, peak / 2**20
+
+    def test_unet_training_step_peak_is_bounded(self):
+        """A taped training pass of unet-small w8 at batch 16 and its
+        backward peak at about 18 MB: backward builds its tap rows and their
+        ``dx`` share a few taps at a time. Whole tap matrices, built again
+        in backward next to a same-size gradient, peaked at 29.8 MB."""
+        _, peak, _, _ = self.traced_forward(16, graph=self.UNET, backward=True, training=True)
+        assert peak < 20 * 2**20, peak / 2**20
 
     def test_tape_free_eval_holds_only_live_activations(self):
         """An eval pass at the evaluation batch (112) without a tape peaks

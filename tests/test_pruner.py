@@ -29,7 +29,7 @@ from prunekit.pruner import (
 from prunekit.relax import GateSet, MaskSet, gate_scales, init_gates, sigma, snapshot
 from prunekit.subgraph import identify_subgraphs
 
-from gen import gated_setups, producer_group, random_gates, random_masks
+from gen import gated_setups, grouped_setup, producer_group, random_gates, random_masks
 from oracles import brute_force_counts, kept_from_masks
 
 
@@ -226,6 +226,28 @@ class TestRewrite:
         np.testing.assert_array_equal(result.weights["c3"]["kernel"],
                                       weights["c3"]["kernel"][:, columns])
         assert verify_equivalence(graph, col, weights, ungated, masks, result, entry) == 0.0
+
+    def test_group_the_cut_makes_prunable_keeps_gain_one(self):
+        # gen.py's graph of seed 191: conv1's one channel joins the entry
+        # through product2 = conv1 * in, so it shares the entry's unprunable
+        # group and runs ungated. Killing conv3's group removes conv3, relu4,
+        # product2 and cat7, and conv1 then seeds a prunable group of its
+        # own, whose fresh score has gain sigma(1) ~ 0.73. The rewrite must
+        # divide that gain out of conv1's kernel.
+        graph, entry, shapes, col = grouped_setup(191)
+        weights = init_weights(graph, shapes, np.random.default_rng(0))
+        gates = init_gates(col)
+        assert not col.group(col.producers["conv1"]).prunable
+        masks = MaskSet({producer_group(col, "conv3"): np.zeros(2, np.int8)}, threshold=0.5)
+        result = rewrite(graph, col, weights, gates, masks, shapes)
+        assert result.report.removed_nodes == ("cat7", "conv3", "product2", "relu4")
+        new_gid = result.coloring.producers["conv1"]
+        assert result.coloring.group(new_gid).prunable
+        gain = sigma(result.gates.values[new_gid], gates.steepness)
+        np.testing.assert_allclose(result.weights["conv1"]["kernel"] * gain[:, None, None, None],
+                                   weights["conv1"]["kernel"], rtol=1e-6)
+        residual = verify_equivalence(graph, col, weights, gates, masks, result, entry)
+        assert residual <= 1e-6 * result.report.output_max
 
     def test_all_dead_network_raises(self):
         graph, entry, shapes, col, weights, gates = model_setup()
