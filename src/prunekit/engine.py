@@ -5,6 +5,13 @@ The engine walks a graph in topological order computing numpy activations
 replays the tape in reverse, accumulating gradients for weights, node scales
 and (additively, for fan-out) intermediate activations.
 
+Ops: ``_OP_TABLE`` maps each kind to its op, ``op(node, xs, w, training)``,
+given the list of the node's input activations in slot order and its weights
+(None for a kind without). An op returns its output and a backward that maps
+the output gradient to ``([gradient per input], {param key: gradient})``, or
+None for a source. The Input op receives the batch as its one input; Output
+and Unknown share one op that passes its first input through.
+
 Lifetimes: ``forward`` drops each activation from its working dict as soon
 as its last consumer has run, and ``Run`` keeps only the output and the
 tape, so an activation outlives its consumers only where a tape record holds
@@ -15,8 +22,9 @@ inputs, and Sum, Concat and Upsample nothing but widths and indices. An op
 owns the list of inputs ``forward`` hands it, and ``forward`` keeps no other
 reference to an input whose last consumer is running (the caller's batch
 aside), so an op that takes such an input out of the list frees it as soon
-as it lets go: BatchNorm drops its input once the centred copy exists and so
-never holds its input, the centred input and its output together.
+as it lets go. BatchNorm drops its input once the centred copy exists, so it
+never holds its input, the centred input and its output together; Convolution
+drops its input once the padded planes hold it, before its first GEMM block.
 ``forward(..., tape=False)`` drops each op's backward as soon as the op
 returns, so such a pass holds only the activations still to be consumed;
 ``evaluate`` and ``verify_equivalence`` run that way, and backward on such a
@@ -220,11 +228,8 @@ class Run:
                     act_grads[src] = act_grads[src] + g
                 else:
                     act_grads[src] = g
-            for key, g in p_grads.items():
-                if key in param_grads:
-                    param_grads[key] = param_grads[key] + g
-                else:
-                    param_grads[key] = g
+            # Each key names this op's own node, which has one record.
+            param_grads.update(p_grads)
         return param_grads
 
 
@@ -280,11 +285,11 @@ def forward(
             if nid not in weights:
                 raise MissingWeights(f"no weights for node {nid!r}")
 
-        xs = [acts[p] for p in producers]
+        xs = [x] if node.kind == OpKind.INPUT else [acts[p] for p in producers]
         for p in producers:
             if last_use[p] == i:
                 acts.pop(p, None)
-        y, fn = _OP_TABLE[node.kind](node, xs, weights.get(nid), x, training)
+        y, fn = _OP_TABLE[node.kind](node, xs, weights.get(nid), training)
         del xs
         scale = None
         if nid in scales:
@@ -305,24 +310,14 @@ def forward(
     return Run(graph=graph, output=acts[graph.exit], _tape=records)
 
 
-# -- per-kind forward implementations -------------------------------------------
-# Each returns (output, backward) where backward maps the output gradient to
-# ([gradients for each input], {param key: gradient}); None backward means the
-# operator is a source.
+# -- per-kind ops (see Ops in the module docstring) ----------------------------
 
 
-def _op_input(node, xs, w, x0, training):
-    return np.asarray(x0), None
+def _op_input(node, xs, w, training):
+    return xs[0], None
 
 
-def _op_output(node, xs, w, x0, training):
-    def fn(gy):
-        return [gy], {}
-
-    return xs[0], fn
-
-
-def _op_relu(node, xs, w, x0, training):
+def _op_relu(node, xs, w, training):
     y = np.maximum(xs[0], 0)
 
     def fn(gy):
@@ -332,7 +327,7 @@ def _op_relu(node, xs, w, x0, training):
     return y, fn
 
 
-def _op_sum(node, xs, w, x0, training):
+def _op_sum(node, xs, w, training):
     y = xs[0].copy()
     for other in xs[1:]:
         y += other
@@ -344,7 +339,7 @@ def _op_sum(node, xs, w, x0, training):
     return y, fn
 
 
-def _op_product(node, xs, w, x0, training):
+def _op_product(node, xs, w, training):
     y = xs[0].copy()
     for other in xs[1:]:
         y *= other
@@ -362,7 +357,7 @@ def _op_product(node, xs, w, x0, training):
     return y, fn
 
 
-def _op_concat(node, xs, w, x0, training):
+def _op_concat(node, xs, w, training):
     widths = [a.shape[1] for a in xs]
     y = np.concatenate(xs, axis=1)
 
@@ -410,8 +405,9 @@ def _phase_axis(n, k, s, p, n_out):
     return pitch, spans
 
 
-def _op_conv(node, xs, w, x0, training):
-    x = xs[0]
+def _op_conv(node, xs, w, training):
+    # Taking x out of xs lets it go once the planes hold it (see Lifetimes).
+    x = xs.pop()
     kernel = w["kernel"]
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeMismatch(f"convolution {node.id!r}: engine supports 2-D spatial tensors only")
@@ -449,6 +445,7 @@ def _op_conv(node, xs, w, x0, training):
     grid = planes[..., :n_out].reshape(*planes.shape[:3], b, hq, wq)
     for a, c, xr, xc, gr, gc in phases:
         grid[a, c, :, :, gr, gc] = x[:, :, xr, xc].transpose(1, 0, 2, 3)
+    del x
 
     def gather(t0, t1, n0, n1):
         """Tap matrix rows of taps ``t0:t1`` over grid columns ``n0:n1``."""
@@ -494,7 +491,7 @@ def _op_conv(node, xs, w, x0, training):
     return y, fn
 
 
-def _op_fc(node, xs, w, x0, training):
+def _op_fc(node, xs, w, training):
     x = xs[0]
     weight, bias = w["weight"], w["bias"]
     orig_shape = x.shape
@@ -514,7 +511,7 @@ def _op_fc(node, xs, w, x0, training):
     return y, fn
 
 
-def _op_batchnorm(node, xs, w, x0, training):
+def _op_batchnorm(node, xs, w, training):
     # Taking x out of xs lets it go once xc exists (see Lifetimes).
     x = xs.pop()
     gamma, beta = w["gamma"], w["beta"]
@@ -574,7 +571,7 @@ def _pool_taps(f, oh, ow):
     ]
 
 
-def _op_maxpool(node, xs, w, x0, training):
+def _op_maxpool(node, xs, w, training):
     x = xs[0]
     f = int(node.attr("factor"))
     taps = _pool_taps(f, x.shape[2] // f, x.shape[3] // f)
@@ -609,7 +606,7 @@ def _op_maxpool(node, xs, w, x0, training):
     return y, fn
 
 
-def _op_upsample(node, xs, w, x0, training):
+def _op_upsample(node, xs, w, training):
     x = xs[0]
     f = int(node.attr("factor"))
     b, c, h, wdt = x.shape
@@ -628,9 +625,9 @@ def _op_upsample(node, xs, w, x0, training):
     return y, fn
 
 
-def _op_unknown(node, xs, w, x0, training):
-    # Unknown operators execute as identity on their first input; their
-    # groups are non-prunable, so this only needs to keep data flowing.
+def _op_pass(node, xs, w, training):
+    # Output, and Unknown operators, pass their first input through; an
+    # Unknown node's groups are non-prunable, so it only keeps data flowing.
     rest = [None] * (len(xs) - 1)
 
     def fn(gy):
@@ -641,7 +638,7 @@ def _op_unknown(node, xs, w, x0, training):
 
 _OP_TABLE = {
     OpKind.INPUT: _op_input,
-    OpKind.OUTPUT: _op_output,
+    OpKind.OUTPUT: _op_pass,
     OpKind.RELU: _op_relu,
     OpKind.SUM: _op_sum,
     OpKind.PRODUCT: _op_product,
@@ -651,5 +648,5 @@ _OP_TABLE = {
     OpKind.BATCH_NORM: _op_batchnorm,
     OpKind.MAX_POOL: _op_maxpool,
     OpKind.UPSAMPLE: _op_upsample,
-    OpKind.UNKNOWN: _op_unknown,
+    OpKind.UNKNOWN: _op_pass,
 }

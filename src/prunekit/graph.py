@@ -57,19 +57,21 @@ class OpKind(str, Enum):
     UNKNOWN = "Unknown"
 
 
-#: Exact attribute set required per kind. ``Unknown`` is exempt (opaque).
-REQUIRED_ATTRS: dict[OpKind, tuple[str, ...]] = {
-    OpKind.INPUT: (),
-    OpKind.OUTPUT: (),
-    OpKind.CONV: ("in_channels", "out_channels", "kernel", "stride", "padding"),
-    OpKind.BATCH_NORM: (),
-    OpKind.RELU: (),
-    OpKind.SUM: (),
-    OpKind.PRODUCT: (),
-    OpKind.CONCAT: (),
-    OpKind.FULLY_CONNECTED: ("in_channels", "out_channels"),
-    OpKind.MAX_POOL: ("factor",),
-    OpKind.UPSAMPLE: ("factor",),
+#: Per kind: the exact required attributes (``Unknown``'s are exempt, being
+#: opaque) and the least and most input count (``None``: unbounded).
+KIND_RULES: dict[OpKind, tuple[tuple[str, ...], int, int | None]] = {
+    OpKind.INPUT: ((), 0, 0),
+    OpKind.OUTPUT: ((), 1, 1),
+    OpKind.CONV: (("in_channels", "out_channels", "kernel", "stride", "padding"), 1, 1),
+    OpKind.BATCH_NORM: ((), 1, 1),
+    OpKind.RELU: ((), 1, 1),
+    OpKind.SUM: ((), 2, None),
+    OpKind.PRODUCT: ((), 2, None),
+    OpKind.CONCAT: ((), 2, None),
+    OpKind.FULLY_CONNECTED: (("in_channels", "out_channels"), 1, 1),
+    OpKind.MAX_POOL: (("factor",), 1, 1),
+    OpKind.UPSAMPLE: (("factor",), 1, 1),
+    OpKind.UNKNOWN: ((), 1, None),
 }
 
 #: Reserved attribute holding the original kind token of an Unknown node.
@@ -345,33 +347,6 @@ class Diagnostic:
     message: str
 
 
-#: Minimum input arity per kind (None = no constraint beyond >= 1).
-_MIN_ARITY: dict[OpKind, int] = {
-    OpKind.INPUT: 0,
-    OpKind.OUTPUT: 1,
-    OpKind.CONV: 1,
-    OpKind.BATCH_NORM: 1,
-    OpKind.RELU: 1,
-    OpKind.FULLY_CONNECTED: 1,
-    OpKind.MAX_POOL: 1,
-    OpKind.UPSAMPLE: 1,
-    OpKind.SUM: 2,
-    OpKind.PRODUCT: 2,
-    OpKind.CONCAT: 2,
-    OpKind.UNKNOWN: 1,
-}
-_MAX_ARITY: dict[OpKind, int] = {
-    OpKind.INPUT: 0,
-    OpKind.OUTPUT: 1,
-    OpKind.CONV: 1,
-    OpKind.BATCH_NORM: 1,
-    OpKind.RELU: 1,
-    OpKind.FULLY_CONNECTED: 1,
-    OpKind.MAX_POOL: 1,
-    OpKind.UPSAMPLE: 1,
-}
-
-
 def validate(graph: Graph, input_shape: TensorShape | None = None) -> list[Diagnostic]:
     """Check structural and (optionally) shape invariants.
 
@@ -416,8 +391,7 @@ def validate(graph: Graph, input_shape: TensorShape | None = None) -> list[Diagn
     for nid in sorted(graph.nodes):
         node = graph.nodes[nid]
         arity = len(graph.inputs(nid))
-        lo = _MIN_ARITY.get(node.kind, 1)
-        hi = _MAX_ARITY.get(node.kind)
+        _, lo, hi = KIND_RULES[node.kind]
         if arity < lo or (hi is not None and arity > hi):
             add("BadArity", nid, f"{node.kind.value} takes {lo}{'' if hi == lo else '+'} inputs, got {arity}")
         diags.extend(_check_attrs(node))
@@ -446,7 +420,7 @@ def _check_attrs(node: OperatorNode) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     if node.kind == OpKind.UNKNOWN:
         return diags
-    required = REQUIRED_ATTRS[node.kind]
+    required = KIND_RULES[node.kind][0]
     have = set(node.attrs)
     missing = [a for a in required if a not in have]
     extra = sorted(have - set(required))

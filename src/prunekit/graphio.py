@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any
 
 from .errors import ParseError
-from .graph import KIND_NAME_ATTR, REQUIRED_ATTRS, Edge, Graph, OperatorNode, OpKind, validate
+from .graph import KIND_NAME_ATTR, KIND_RULES, Edge, Graph, OperatorNode, OpKind, validate
 
 FORMAT_VERSION = 1
 
@@ -75,7 +75,7 @@ def serialize(graph: Graph) -> str:
             attr_order = sorted(k for k in node.attrs if k != KIND_NAME_ATTR)
         else:
             kind_token = node.kind.value
-            declared = REQUIRED_ATTRS[node.kind]
+            declared = KIND_RULES[node.kind][0]
             attr_order = list(declared) + sorted(set(node.attrs) - set(declared))
         parts = ["node", nid, kind_token]
         producers = graph.inputs(nid)

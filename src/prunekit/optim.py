@@ -98,19 +98,6 @@ class Optimizer:
                 vhat = v / (1 - cfg.beta2 ** self.t)
                 p -= rate * mhat / (np.sqrt(vhat) + cfg.eps)
 
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "slots": {key: dict(slot) for key, slot in self.slots.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.slots = {
-            key: {name: np.asarray(arr) for name, arr in slot.items()}
-            for key, slot in state["slots"].items()
-        }
-
 
 # -- checkpoints -----------------------------------------------------------------
 
@@ -161,11 +148,10 @@ def save_checkpoint(
             put(["s", int(gid)], gates.values[gid])
         header["gates"] = {"steepness": gates.steepness, "stiffening_sd": gates.stiffening_sd}
     if optimizer is not None:
-        state = optimizer.state_dict()
-        for key in sorted(state["slots"]):
-            for slot_name in sorted(state["slots"][key]):
-                put([slot_name, *key], state["slots"][key][slot_name])
-        header["opt_t"] = state["t"]
+        for key in sorted(optimizer.slots):
+            for slot_name in sorted(optimizer.slots[key]):
+                put([slot_name, *key], optimizer.slots[key][slot_name])
+        header["opt_t"] = optimizer.t
     if rng is not None:
         header["rng_state"] = rng.bit_generator.state
 

@@ -74,10 +74,9 @@ METRIC_COLUMNS = (
 @dataclass
 class StepSpec:
     """One workflow step: optional prune, training (none at ``epochs: 0``),
-    optional test."""
+    then a test."""
 
     prune: bool = False
-    test: bool = True
     threshold: float | None = None
     epochs: int = 1
     lr: float | None = None
@@ -379,7 +378,7 @@ def run(
         check_gates(coloring, gates, str(resume_from))
         optimizer = Optimizer(config.optimizer)
         if ckpt.opt_state is not None:
-            optimizer.load_state_dict(ckpt.opt_state)
+            optimizer.t, optimizer.slots = ckpt.opt_state["t"], ckpt.opt_state["slots"]
         if ckpt.rng_state is not None:
             rng.bit_generator.state = ckpt.rng_state
         global_epoch = int(meta["global_epoch"])
@@ -391,8 +390,6 @@ def run(
         out_dir / "metrics.csv" if out_dir else None,
         resume_step=start_step if resume_from is not None else None,
     )
-
-    first_train_step = next((i for i, s in enumerate(config.steps) if s.epochs > 0), None)
 
     for step_index in range(start_step, len(config.steps)):
         spec = config.steps[step_index]
@@ -457,26 +454,25 @@ def run(
                     )
                     iteration += 1
                 global_epoch += 1
-            if step_index == first_train_step and loss_scale is None and epoch_losses:
+            if loss_scale is None and epoch_losses:
                 # Scale both pressure terms to the task loss level reached by
                 # the warm-up, so neither drowns the other from the start.
                 loss_scale = float(np.mean(epoch_losses))
 
-        if spec.test:
-            gains = snapshot(gates)
-            score = evaluate(
-                graph, weights, test_set,
-                node_scales=gate_scales(coloring, gains, test_set.inputs.dtype),
-                batch_size=max(config.batch_size, 128),
-            )
-            scores.append((step_index, score))
-            widths = channel_totals(coloring, gains)
-            report = structure_measures(graph, coloring, widths, shapes, baseline=baseline)
-            metrics.write(
-                step=step_index, epoch=global_epoch, iteration=0, phase="test",
-                sigma_p=f"{report.sigma_p:.6f}", sigma_q=f"{report.sigma_q:.6f}",
-                score=f"{score:.6f}", seconds=f"{time.perf_counter() - step_t0:.3f}",
-            )
+        gains = snapshot(gates)
+        score = evaluate(
+            graph, weights, test_set,
+            node_scales=gate_scales(coloring, gains, test_set.inputs.dtype),
+            batch_size=max(config.batch_size, 128),
+        )
+        scores.append((step_index, score))
+        widths = channel_totals(coloring, gains)
+        report = structure_measures(graph, coloring, widths, shapes, baseline=baseline)
+        metrics.write(
+            step=step_index, epoch=global_epoch, iteration=0, phase="test",
+            sigma_p=f"{report.sigma_p:.6f}", sigma_q=f"{report.sigma_q:.6f}",
+            score=f"{score:.6f}", seconds=f"{time.perf_counter() - step_t0:.3f}",
+        )
 
         if out_dir is not None:
             save_checkpoint(

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from prunekit import engine
 from prunekit.errors import (
     GraphStructureError,
     MissingAttribute,
@@ -11,6 +12,7 @@ from prunekit.errors import (
 )
 from prunekit.graph import (
     Graph,
+    OperatorNode,
     OpKind,
     TensorShape,
     conv_node,
@@ -301,6 +303,63 @@ class TestValidate:
             simple_node("out", OpKind.OUTPUT),
         )
         assert "MissingAttribute" in self.diag_codes(g)
+
+    # Each kind's rules, pinned apart from the code's own table: a full
+    # attribute set and the least and most input count (None: unbounded).
+    KIND_PINS = {
+        OpKind.INPUT: ({}, 0, 0),
+        OpKind.OUTPUT: ({}, 1, 1),
+        OpKind.CONV: (conv_node("n", 2, 2, kernel=1).attrs, 1, 1),
+        OpKind.BATCH_NORM: ({}, 1, 1),
+        OpKind.RELU: ({}, 1, 1),
+        OpKind.SUM: ({}, 2, None),
+        OpKind.PRODUCT: ({}, 2, None),
+        OpKind.CONCAT: ({}, 2, None),
+        OpKind.FULLY_CONNECTED: (fc_node("n", 2, 2).attrs, 1, 1),
+        OpKind.MAX_POOL: ({"factor": 2}, 1, 1),
+        OpKind.UPSAMPLE: ({"factor": 2}, 1, 1),
+        OpKind.UNKNOWN: ({"kind_name": "Opaque"}, 1, None),
+    }
+
+    @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+    def test_kind_rules(self, kind):
+        attrs, lo, hi = self.KIND_PINS[kind]
+
+        def diags(n_inputs, node_attrs=attrs):
+            """Code -> message of the diagnostics on a node ``n`` of this
+            kind fed ``n_inputs`` times by the entry."""
+            nodes = {
+                "in": simple_node("in", OpKind.INPUT),
+                "n": OperatorNode("n", kind, dict(node_attrs)),
+                "out": simple_node("out", OpKind.OUTPUT),
+            }
+            edges = tuple(("in", "n", slot) for slot in range(n_inputs)) + (("n", "out", 0),)
+            graph = Graph(nodes=nodes, edges=edges, entry="in", exit="out")
+            return {d.code: d.message for d in validate(graph) if d.node == "n"}
+
+        rule_codes = {"BadArity", "MissingAttribute", "BadAttributes"}
+        assert not rule_codes & set(diags(lo))
+        takes = f"{kind.value} takes {lo}{'' if hi == lo else '+'} inputs, got"
+        if lo > 0:
+            assert diags(lo - 1)["BadArity"] == f"{takes} {lo - 1}"
+        if hi is None:
+            assert "BadArity" not in diags(lo + 3)
+        else:
+            assert diags(hi + 1)["BadArity"] == f"{takes} {hi + 1}"
+        if kind == OpKind.UNKNOWN:
+            assert not rule_codes & set(diags(lo, {**attrs, "bogus": 1}))
+            return
+        for name in attrs:
+            missing = diags(lo, {k: v for k, v in attrs.items() if k != name})
+            assert missing["MissingAttribute"] == f"missing attributes [{name!r}]"
+        extra = diags(lo, {**attrs, "bogus": 1})
+        assert extra["BadAttributes"] == "unexpected attributes ['bogus']"
+
+    def test_every_kind_has_a_rule_and_an_engine_op(self):
+        from prunekit.graph import KIND_RULES
+
+        assert set(KIND_RULES) == set(OpKind)
+        assert set(engine._OP_TABLE) == set(OpKind)
 
 
 class TestTextFormat:

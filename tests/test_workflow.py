@@ -112,6 +112,7 @@ class TestWorkflowConfig:
         ({"objective": {"lam": [0.2]}}, "objective.lam"),
         ({"steps": ["warmup"]}, "steps[0]"),
         ({"steps": [{"train": False, "epochs": 1}]}, "train"),
+        ({"steps": [{"test": False, "epochs": 1}]}, "test"),
     ])
     def test_from_dict_names_bad_nested_keys(self, raw, named):
         with pytest.raises(InvalidConfig, match=re.escape(named)):
@@ -516,6 +517,23 @@ def test_resume_refuses_a_changed_config(tmp_path):
         resume_from=checkpoint,
     )
     assert [step for step, _ in resumed.scores] == [0, 1]
+
+
+def test_resume_refuses_a_checkpoint_with_a_test_switch(mini_run, tmp_path):
+    """Steps have no ``test`` key: every step ends with a test. A checkpoint
+    whose config records one (``test: true`` per step, as written before the
+    key went) does not resume."""
+    config, _, out_dir = mini_run
+    ckpt = load_checkpoint(out_dir / "step_00.npz")
+    for step in ckpt.meta["config"]["steps"]:
+        step["test"] = True
+    earlier = tmp_path / "with_test_key.npz"
+    save_checkpoint(earlier, graph=ckpt.graph, weights=ckpt.weights, gates=ckpt.gates,
+                    meta=ckpt.meta)
+    train_set, test_set = mini_data(config)
+    with pytest.raises(ResumeMismatch, match=r"in: steps\.0\.test$"):
+        run(mini_config(tmp_path / "resumed"), train_set, test_set, resume_from=earlier)
+    assert not (tmp_path / "resumed" / "metrics.csv").exists()
 
 
 def test_resume_refuses_a_checkpoint_without_run_metadata(mini_run, tmp_path):
