@@ -49,7 +49,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     coloring = identify_subgraphs(ckpt.graph, infer_shapes(ckpt.graph, shape))
     if ckpt.gates.values:  # a folded model has none
         check_gates(coloring, ckpt.gates, args.checkpoint)
-    scales = gate_scales(coloring, snapshot(ckpt.gates), test_set.inputs.dtype)
+    scales = gate_scales(coloring, snapshot(ckpt.gates))
     score = evaluate(ckpt.graph, ckpt.weights, test_set, node_scales=scales)
     print(f"score {score:.4f} on {len(test_set)} held-out samples")
     return 0

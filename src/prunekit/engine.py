@@ -7,10 +7,11 @@ and (additively, for fan-out) intermediate activations.
 
 Ops: ``_OP_TABLE`` maps each kind to its op, ``op(node, xs, w, training)``,
 given the list of the node's input activations in slot order and its weights
-(None for a kind without). An op returns its output and a backward that maps
-the output gradient to ``([gradient per input], {param key: gradient})``, or
-None for a source. The Input op receives the batch as its one input; Output
-and Unknown share one op that passes its first input through.
+(None for a kind without). Every op returns its output and a backward that
+maps the output gradient to ``([gradient per input], {param key: gradient})``.
+Input, Output and Unknown share one op that passes its first input through;
+the Input op receives the batch as its one input, and its backward feeds no
+producer.
 
 Lifetimes: ``forward`` drops each activation from its working dict as soon
 as its last consumer has run, and ``Run`` keeps only the output and the
@@ -112,9 +113,9 @@ from .relax import GateSet
 
 ParamKey = tuple  # ("w", node_id, param_name), ("s", group_id) or ("n", node_id)
 Weights = dict[str, dict[str, np.ndarray]]
-# One tape record per node: id, input ids, the op's backward (None for a
-# source) and, for a scaled node, (scale vector, unscaled output).
-_Record = tuple[str, tuple[str, ...], Callable | None, tuple[np.ndarray, np.ndarray] | None]
+# One tape record per node: id, input ids, the op's backward and, for a
+# scaled node, (scale vector, unscaled output).
+_Record = tuple[str, tuple[str, ...], Callable, tuple[np.ndarray, np.ndarray] | None]
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -218,8 +219,6 @@ class Run:
                 vec, pre = scale
                 param_grads[("n", out_key)] = _csum(gy * pre, np.float64)
                 gy = gy * _cshape(vec, gy.ndim)
-            if fn is None:
-                continue
             in_grads, p_grads = fn(gy)
             for src, g in zip(in_keys, in_grads):
                 if g is None:
@@ -311,10 +310,6 @@ def forward(
 
 
 # -- per-kind ops (see Ops in the module docstring) ----------------------------
-
-
-def _op_input(node, xs, w, training):
-    return xs[0], None
 
 
 def _op_relu(node, xs, w, training):
@@ -626,7 +621,7 @@ def _op_upsample(node, xs, w, training):
 
 
 def _op_pass(node, xs, w, training):
-    # Output, and Unknown operators, pass their first input through; an
+    # Input, Output and Unknown operators pass their first input through; an
     # Unknown node's groups are non-prunable, so it only keeps data flowing.
     rest = [None] * (len(xs) - 1)
 
@@ -637,7 +632,7 @@ def _op_pass(node, xs, w, training):
 
 
 _OP_TABLE = {
-    OpKind.INPUT: _op_input,
+    OpKind.INPUT: _op_pass,
     OpKind.OUTPUT: _op_pass,
     OpKind.RELU: _op_relu,
     OpKind.SUM: _op_sum,

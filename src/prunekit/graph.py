@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from numbers import Integral
+from typing import Any, Mapping
 
 from .errors import (
     GraphStructureError,
@@ -73,6 +74,9 @@ KIND_RULES: dict[OpKind, tuple[tuple[str, ...], int, int | None]] = {
     OpKind.UPSAMPLE: (("factor",), 1, 1),
     OpKind.UNKNOWN: ((), 1, None),
 }
+
+#: Least value of each required attribute, an integer or a tuple of integers.
+_LEAST = {"in_channels": 1, "out_channels": 1, "kernel": 1, "stride": 1, "padding": 0, "factor": 1}
 
 #: Reserved attribute holding the original kind token of an Unknown node.
 KIND_NAME_ATTR = "kind_name"
@@ -198,9 +202,6 @@ class Graph:
 
     def out_edges(self, node_id: str) -> tuple[Edge, ...]:
         return self._outputs[node_id]  # type: ignore[attr-defined]
-
-    def consumers(self, node_id: str) -> tuple[str, ...]:
-        return tuple(dst for _, dst, _ in self.out_edges(node_id))
 
     def topo_order(self) -> tuple[str, ...]:
         """Topological node order (ties broken by id). Raises on cycles."""
@@ -404,15 +405,13 @@ def validate(graph: Graph, input_shape: TensorShape | None = None) -> list[Diagn
             if nid not in fwd or nid not in bwd:
                 add("Unreachable", nid, "node is not on any path from the entry to the exit")
 
-    if input_shape is not None and not any(d.code in ("CycleDetected", "BadArity", "BadSlot") for d in diags):
+    if input_shape is not None and not any(
+        d.code in ("CycleDetected", "BadArity", "BadSlot", "BadAttributes") for d in diags
+    ):
         try:
             infer_shapes(graph, input_shape)
-        except ShapeMismatch as exc:
-            add("ShapeMismatch", None, str(exc))
-        except NonPositiveExtent as exc:
-            add("NonPositiveExtent", None, str(exc))
-        except MissingAttribute as exc:
-            add("MissingAttribute", None, str(exc))
+        except (ShapeMismatch, NonPositiveExtent, MissingAttribute) as exc:
+            add(type(exc).__name__, None, str(exc))
     return diags
 
 
@@ -430,15 +429,13 @@ def _check_attrs(node: OperatorNode) -> list[Diagnostic]:
         diags.append(Diagnostic("BadAttributes", node.id, f"unexpected attributes {extra}"))
     if missing:
         return diags
-    positive = {"in_channels": 1, "out_channels": 1, "factor": 1}
-    for name, lo in positive.items():
-        if name in node.attrs and int(node.attrs[name]) < lo:
-            diags.append(Diagnostic("NonPositiveExtent", node.id, f"{name} must be >= {lo}"))
-    if node.kind == OpKind.CONV:
-        for name, lo in (("kernel", 1), ("stride", 1), ("padding", 0)):
-            vals = node.attrs.get(name, ())
-            if any(int(v) < lo for v in vals):
-                diags.append(Diagnostic("NonPositiveExtent", node.id, f"{name} entries must be >= {lo}"))
+    for name in required:
+        value = node.attrs[name]
+        vals = value if isinstance(value, (tuple, list)) else (value,)
+        if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in vals):
+            diags.append(Diagnostic("BadAttributes", node.id, f"{name} must be an integer, got {value!r}"))
+        elif any(v < _LEAST[name] for v in vals):
+            diags.append(Diagnostic("NonPositiveExtent", node.id, f"{name} must be >= {_LEAST[name]}"))
     return diags
 
 
@@ -447,12 +444,7 @@ def _reach(graph: Graph, start: str, forward: bool) -> set[str]:
     frontier = [start]
     while frontier:
         nid = frontier.pop()
-        nxt: Iterable[str]
-        if forward:
-            nxt = graph.consumers(nid)
-        else:
-            nxt = graph.inputs(nid)
-        for other in nxt:
+        for other in [e[1] for e in graph.out_edges(nid)] if forward else graph.inputs(nid):
             if other not in seen:
                 seen.add(other)
                 frontier.append(other)

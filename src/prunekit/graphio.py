@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any
 
 from .errors import ParseError
-from .graph import KIND_NAME_ATTR, KIND_RULES, Edge, Graph, OperatorNode, OpKind, validate
+from .graph import KIND_NAME_ATTR, KIND_RULES, Edge, Graph, OperatorNode, OpKind, _as_tuple, validate
 
 FORMAT_VERSION = 1
 
@@ -141,7 +141,7 @@ def deserialize(text: str) -> Graph:
                 attrs[KIND_NAME_ATTR] = kind_token
                 kind = OpKind.UNKNOWN
             else:
-                attrs = _coerce_known_attrs(kind, attrs, lineno)
+                attrs = _coerce_known_attrs(kind, attrs)
             nodes[nid] = OperatorNode(nid, kind, attrs)
             for slot, src in enumerate(inputs):
                 edges.append((src, nid, slot))
@@ -157,10 +157,6 @@ def deserialize(text: str) -> Graph:
     for src, dst, _ in edges:
         if src not in nodes:
             raise ParseError(f"node {dst!r} references unknown input {src!r}")
-    if entry not in nodes:
-        raise ParseError(f"entry {entry!r} is not a node")
-    if exit_ not in nodes:
-        raise ParseError(f"exit {exit_!r} is not a node")
     graph = Graph(nodes=nodes, edges=tuple(edges), entry=entry, exit=exit_)
     problems = [f"{d.code} {d.node or '-'}: {d.message}" for d in validate(graph)]
     if problems:
@@ -168,17 +164,16 @@ def deserialize(text: str) -> Graph:
     return graph
 
 
-def _coerce_known_attrs(kind: OpKind, attrs: dict[str, Any], lineno: int) -> dict[str, Any]:
-    """Normalise scalar kernel/stride/padding into tuples for convolutions."""
+def _coerce_known_attrs(kind: OpKind, attrs: dict[str, Any]) -> dict[str, Any]:
+    """Read a convolution's scalar kernel, stride and padding as
+    :func:`~prunekit.graph.conv_node` does: a scalar kernel is square, and a
+    scalar stride or padding repeats to the kernel's rank."""
     if kind == OpKind.CONV:
         kernel = attrs.get("kernel")
-        if isinstance(kernel, int):
-            attrs["kernel"] = (kernel,)
-        rank = len(attrs.get("kernel", ())) or 1
-        for name in ("stride", "padding"):
-            value = attrs.get(name)
-            if isinstance(value, int):
-                attrs[name] = (value,) * rank
+        rank = len(kernel) if isinstance(kernel, tuple) else 2
+        for name in ("kernel", "stride", "padding"):
+            if isinstance(attrs.get(name), int):
+                attrs[name] = _as_tuple(attrs[name], rank)
     return attrs
 
 

@@ -206,7 +206,7 @@ def total_loss(
     the underlying run.
     """
     gains = snapshot(gates)
-    scales = gate_scales(coloring, gains, np.asarray(x).dtype)
+    scales = gate_scales(coloring, gains)
     run = forward(graph, weights, x, node_scales=scales, training=training)
     task, dlogits = cross_entropy(run.output, labels)
     grads = score_grads(coloring, gates, gains, run.backward(dlogits))
@@ -235,17 +235,12 @@ def total_loss(
 def confusion_counts(
     pred: np.ndarray, labels: np.ndarray, classes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class (intersection, predicted, actual) pixel counts."""
-    inter = np.zeros(classes, dtype=np.int64)
-    p_count = np.zeros(classes, dtype=np.int64)
-    t_count = np.zeros(classes, dtype=np.int64)
-    for c in range(classes):
-        pc = pred == c
-        tc = labels == c
-        inter[c] = np.count_nonzero(pc & tc)
-        p_count[c] = np.count_nonzero(pc)
-        t_count[c] = np.count_nonzero(tc)
-    return inter, p_count, t_count
+    """Per-class (intersection, predicted, actual) counts of positions in
+    ``classes``; the intersection summed over classes counts every hit."""
+    pred, labels = np.ravel(pred), np.ravel(labels)
+    return tuple(
+        np.bincount(v, minlength=classes)[:classes] for v in (pred[pred == labels], pred, labels)
+    )
 
 
 def mean_iou(inter: np.ndarray, p_count: np.ndarray, t_count: np.ndarray) -> float:

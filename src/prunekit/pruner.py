@@ -81,7 +81,7 @@ def alive_channels(
         ins = [alive[p] for p in graph.inputs(nid)]
         if node.kind == OpKind.INPUT:
             flags = np.ones(coloring.node_segments[nid][0].width, dtype=bool)
-        elif node.kind in (OpKind.CONV, OpKind.FULLY_CONNECTED):
+        elif nid in coloring.producers:
             flags = _own_mask(coloring, masks, nid) & bool(np.any(ins[0]))
         elif node.kind == OpKind.SUM:
             flags = np.logical_or.reduce(ins)
@@ -109,7 +109,7 @@ def masked_scales(
     so no shift term survives on a structurally dead channel.
     """
     alive = alive_channels(graph, coloring, masks)
-    gains = gate_scales(coloring, snapshot(gates), np.float64)
+    gains = gate_scales(coloring, snapshot(gates))
     scales: dict[str, np.ndarray] = {}
     for nid, flags in alive.items():
         if nid in gains:
@@ -201,7 +201,7 @@ def rewrite(
             continue
         kind, preds = graph.nodes[nid].kind, graph.inputs(nid)
         live = [p for p in preds if p in source]
-        if kind in (OpKind.INPUT, OpKind.CONV, OpKind.FULLY_CONNECTED):
+        if kind == OpKind.INPUT or nid in coloring.producers:
             cols[nid] = keep[coloring.node_segments[nid][0].group]
         elif kind == OpKind.CONCAT:
             starts = np.cumsum([0] + [len(alive[p]) for p in preds])
@@ -231,7 +231,7 @@ def rewrite(
     for nid in kept_ids:
         node = graph.nodes[nid]
         attrs = dict(node.attrs)
-        if node.kind in (OpKind.CONV, OpKind.FULLY_CONNECTED):
+        if nid in coloring.producers:
             attrs["in_channels"] = len(cols[graph.inputs(nid)[0]])
             attrs["out_channels"] = len(cols[nid])
         new_nodes[nid] = replace(node, attrs=attrs)
@@ -329,7 +329,7 @@ def verify_equivalence(
     """
     rng = np.random.default_rng(seed)
     scales = masked_scales(graph, coloring, gates, masks)
-    new_scales = gate_scales(result.coloring, snapshot(result.gates), np.float32)
+    new_scales = gate_scales(result.coloring, snapshot(result.gates))
     worst = 0.0
     ref_max = 0.0
     for _ in range(probes):
@@ -365,7 +365,7 @@ def fold_gates(coloring: Coloring, gates: GateSet, weights: Weights) -> Weights:
     new_weights: Weights = {
         nid: {name: arr.copy() for name, arr in per.items()} for nid, per in weights.items()
     }
-    for nid, gains in gate_scales(coloring, snapshot(gates), np.float64).items():
+    for nid, gains in gate_scales(coloring, snapshot(gates)).items():
         for arr in new_weights[nid].values():
             arr *= _rows(gains, arr)
     return new_weights

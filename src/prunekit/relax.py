@@ -14,7 +14,9 @@ Gate sites: a group's gains multiply the output of each of its producers
 (``Coloring.producers``: convolution and fully-connected outputs), applied
 through ``engine.forward``'s ``node_scales``. :func:`gate_sites` is the one
 place that picks those nodes; training, evaluation, the masked model and
-folding all go through it.
+folding all go through it. ``gate_scales(coloring, gains)`` hands the float64
+gains over as they are: ``engine.forward`` makes the one cast to the
+activation dtype.
 """
 from __future__ import annotations
 
@@ -132,10 +134,10 @@ def gate_sites(coloring: Coloring) -> dict[str, int]:
     return {nid: gid for nid, gid in coloring.producers.items() if coloring.group(gid).prunable}
 
 
-def gate_scales(coloring: Coloring, gains: dict[int, np.ndarray], dtype) -> dict[str, np.ndarray]:
-    """Per-group ``gains`` as ``engine.forward``'s ``node_scales``, in ``dtype``."""
-    cast = {gid: g.astype(dtype) for gid, g in gains.items()}
-    return {nid: cast[gid] for nid, gid in gate_sites(coloring).items() if gid in cast}
+def gate_scales(coloring: Coloring, gains: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
+    """Per-group ``gains`` as ``engine.forward``'s ``node_scales``; the
+    engine casts them to the activation dtype."""
+    return {nid: gains[gid] for nid, gid in gate_sites(coloring).items() if gid in gains}
 
 
 def score_grads(coloring: Coloring, gates: GateSet, gains: dict, grads: dict) -> dict:

@@ -233,24 +233,15 @@ def evaluate(
     mean IoU (over classes that occur) for dense labels. ``node_scales``
     are passed to :func:`~prunekit.engine.forward` (a gated network's
     ``gate_scales``)."""
-    dense = dataset.dense
-    inter = p_count = t_count = None
-    hits = 0
+    counts = np.zeros((3, dataset.classes), dtype=np.int64)
     for bx, by in batches(dataset, batch_size, shuffle=False):
         out = forward(
             graph, weights, bx, node_scales=node_scales, training=False, tape=False
         ).output
-        pred = np.argmax(out, axis=1)
-        if dense:
-            i, p, t = confusion_counts(pred, by, dataset.classes)
-            inter = i if inter is None else inter + i
-            p_count = p if p_count is None else p_count + p
-            t_count = t if t_count is None else t_count + t
-        else:
-            hits += int(np.count_nonzero(pred == by))
-    if dense:
-        return mean_iou(inter, p_count, t_count)
-    return hits / len(dataset)
+        counts += confusion_counts(np.argmax(out, axis=1), by, dataset.classes)
+    if dataset.dense:
+        return mean_iou(*counts)
+    return int(counts[0].sum()) / len(dataset)
 
 
 class _MetricsWriter:
@@ -312,11 +303,6 @@ def _check_resume_config(saved: dict, config: WorkflowConfig, next_step: int) ->
         raise ResumeMismatch(f"config differs from the checkpoint's in: {', '.join(differing)}")
 
 
-def _load_data(config: WorkflowConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    full = generate_synthetic(config.dataset, config.dataset_size, seed=config.seed)
-    return split(full, config.train_fraction, seed=config.seed)
-
-
 def run(
     config: WorkflowConfig,
     train_set: LabeledDataset | None = None,
@@ -331,7 +317,8 @@ def run(
     the final rewritten graph, folded weights and a gate snapshot.
     """
     if train_set is None or test_set is None:
-        train_set, test_set = _load_data(config)
+        full = generate_synthetic(config.dataset, config.dataset_size, seed=config.seed)
+        train_set, test_set = split(full, config.train_fraction, seed=config.seed)
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
@@ -462,7 +449,7 @@ def run(
         gains = snapshot(gates)
         score = evaluate(
             graph, weights, test_set,
-            node_scales=gate_scales(coloring, gains, test_set.inputs.dtype),
+            node_scales=gate_scales(coloring, gains),
             batch_size=max(config.batch_size, 128),
         )
         scores.append((step_index, score))

@@ -503,7 +503,7 @@ class TestEdgeShapes:
 class TestGradients:
     def loss_and_grads(self, graph, weights, x, probe, *, training, coloring, gates):
         gains = snapshot(gates)
-        scales = gate_scales(coloring, gains, x.dtype)
+        scales = gate_scales(coloring, gains)
         run = forward(graph, copy.deepcopy(weights), x, node_scales=scales, training=training)
         grads = score_grads(coloring, gates, gains, run.backward(probe))
         return float(np.sum(run.output * probe)), grads
@@ -622,7 +622,7 @@ class TestRunSemantics:
         x = rng.normal(0, 1, entry_shape.dims())
         gates = random_gates(col, rng, dtype=np.float64)
         gated = forward(
-            graph, copy.deepcopy(weights), x, node_scales=gate_scales(col, snapshot(gates), x.dtype)
+            graph, copy.deepcopy(weights), x, node_scales=gate_scales(col, snapshot(gates))
         )
         # replicate via fixed node scales on each convolution or
         # fully-connected layer whose output group is gated

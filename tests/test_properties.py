@@ -64,7 +64,7 @@ def test_folded_weights_match_gate_scales(seed, training):
     folded = fold_gates(col, gates, weights)
     gated = forward(
         graph, copy.deepcopy(weights), x,
-        node_scales=gate_scales(col, snapshot(gates), x.dtype), training=training,
+        node_scales=gate_scales(col, snapshot(gates)), training=training,
     ).output
     plain = forward(graph, copy.deepcopy(folded), x, training=training).output
     np.testing.assert_allclose(plain, gated, rtol=1e-10, atol=1e-12)
@@ -103,7 +103,7 @@ def test_unit_scales_change_nothing_and_return_channel_sums(seed, training):
 @given(seed=st.integers(0, 5000), training=st.booleans())
 def test_tape_free_pass_matches_the_taped_pass_bitwise(seed, training):
     graph, col, weights, gates, x = gated_case(seed)
-    scales = gate_scales(col, snapshot(gates), x.dtype)
+    scales = gate_scales(col, snapshot(gates))
     taped_w, free_w = copy.deepcopy(weights), copy.deepcopy(weights)
     taped = forward(graph, taped_w, x, node_scales=scales, training=training)
     free = forward(graph, free_w, x, node_scales=scales, training=training, tape=False)
@@ -234,7 +234,7 @@ def test_rewritten_graph_survives_serialization(seed, training):
     def output(graph, coloring):
         return forward(
             graph, copy.deepcopy(result.weights), x,
-            node_scales=gate_scales(coloring, snapshot(result.gates), x.dtype), training=training,
+            node_scales=gate_scales(coloring, snapshot(result.gates)), training=training,
         ).output
 
     assert np.array_equal(output(restored, col), output(result.graph, result.coloring))

@@ -321,7 +321,7 @@ class TestFolding:
         folded = fold_gates(col, gates, weights)
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, entry.dims())
-        scales = gate_scales(col, snapshot(gates), x.dtype)
+        scales = gate_scales(col, snapshot(gates))
         for training in (False, True):
             a = forward(graph, copy.deepcopy(weights), x, node_scales=scales,
                         training=training).output
@@ -359,7 +359,7 @@ class TestFolding:
         gains = sigma(gates.values[gid], gates.steepness)
         np.testing.assert_allclose(folded["fc1"]["bias"], weights["fc1"]["bias"] * gains)
         x = rng.normal(0, 1, entry.dims())
-        scales = gate_scales(col, snapshot(gates), x.dtype)
+        scales = gate_scales(col, snapshot(gates))
         for training in (False, True):
             a = forward(graph, copy.deepcopy(weights), x, node_scales=scales,
                         training=training).output

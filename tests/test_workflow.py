@@ -376,7 +376,7 @@ class TestRunArtifacts:
         plain = forward(result.graph, ckpt_weights, probe, training=False).output
         gated = forward(
             result.graph, {k: v for k, v in ckpt_weights.items()}, probe,
-            node_scales=gate_scales(result.coloring, snapshot(result.gates), probe.dtype),
+            node_scales=gate_scales(result.coloring, snapshot(result.gates)),
             training=False,
         ).output
         # Folding multiplies the gate gains into producer kernels, so running
