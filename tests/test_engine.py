@@ -636,6 +636,27 @@ class TestRunSemantics:
         plain = forward(graph, copy.deepcopy(weights), x, node_scales=scales)
         np.testing.assert_allclose(gated.output, plain.output, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("setup", gated_setups(3), ids=lambda s: f"seed{s[0]}")
+    def test_float64_scales_match_their_activation_dtype_cast_bitwise(self, setup, training):
+        # gate_scales hands the float64 gains over uncast; forward casts them.
+        seed, graph, entry_shape, shapes, col = setup
+        rng = np.random.default_rng(seed)
+        weights = init_weights(graph, shapes, rng)
+        x = rng.normal(0, 1, entry_shape.dims()).astype(np.float32)
+        wide = gate_scales(col, snapshot(random_gates(col, rng)))
+        assert wide and all(v.dtype == np.float64 for v in wide.values())
+        runs = [
+            forward(graph, copy.deepcopy(weights), x, node_scales=scales, training=training)
+            for scales in (wide, {nid: v.astype(np.float32) for nid, v in wide.items()})
+        ]
+        assert_bitwise_equal(runs[0].output, runs[1].output)
+        probe = rng.normal(0, 1, runs[0].output.shape).astype(np.float32)
+        grads = [run.backward(probe) for run in runs]
+        assert grads[0].keys() == grads[1].keys() >= {("n", nid) for nid in wide}
+        for key in grads[0]:
+            assert_bitwise_equal(grads[0][key], grads[1][key])
+
     def test_init_weights_sorted_and_seeded(self):
         graph, entry_shape, shapes, col = grouped_setup(12)
         w1 = init_weights(graph, shapes, np.random.default_rng(5))

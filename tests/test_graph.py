@@ -304,6 +304,14 @@ class TestValidate:
         )
         assert "MissingAttribute" in self.diag_codes(g)
 
+    @pytest.mark.parametrize("value", [True, 1.0, "3"])
+    def test_validate_reports_bad_attribute_values_instead_of_raising(self, value):
+        node = conv_node("c", 3, 4, kernel=1)
+        g = chain(simple_node("in", OpKind.INPUT),
+                  OperatorNode("c", OpKind.CONV, {**node.attrs, "out_channels": value}),
+                  simple_node("out", OpKind.OUTPUT))
+        assert "BadAttributes" in {d.code for d in validate(g, TensorShape(1, 3, (4, 4)))}
+
     # Each kind's rules, pinned apart from the code's own table: a full
     # attribute set and the least and most input count (None: unbounded).
     KIND_PINS = {
@@ -437,13 +445,41 @@ class TestTextFormat:
              "stride=1,1 padding=0,0\nnode out Output inputs=c\n", "BadArity", "c"),
             ("node s Sum inputs=in\nnode out Output inputs=s\n", "BadArity", "s"),
             ("node r ReLU inputs=in\nnode out Output inputs=in\n", "Unreachable", "r"),
+            ("node o Output inputs=in\n", "EntryExit", "-"),
         ],
-        ids=["two-input-conv", "one-input-sum", "unreachable-relu"],
+        ids=["two-input-conv", "one-input-sum", "unreachable-relu", "missing-exit"],
     )
     def test_structurally_invalid_documents_rejected(self, body, code, node):
         text = "version 1\nentry in\nexit out\nnode in Input\n" + body
         with pytest.raises(ParseError, match=f"{code} {node}:"):
             deserialize(text)
+
+    @pytest.mark.parametrize(
+        "attrs,name",
+        [
+            ("in_channels=1 out_channels=1 kernel=a stride=1 padding=0", "kernel"),
+            ("in_channels=1 out_channels=1 kernel=1 stride=x padding=0", "stride"),
+            ("in_channels=abc out_channels=1 kernel=1 stride=1 padding=0", "in_channels"),
+            ("in_channels=1 out_channels=1 kernel=1.5 stride=1 padding=0", "kernel"),
+            ("in_channels=1 out_channels=1 kernel=1 stride=1 padding=1.5", "padding"),
+            ("factor=x", "factor"),
+            ("factor=2.5", "factor"),
+        ],
+    )
+    def test_non_integer_attribute_values_rejected(self, attrs, name):
+        kind = "MaxPool" if attrs.startswith("factor") else "Convolution"
+        text = ("version 1\nentry in\nexit out\nnode in Input\n"
+                f"node n {kind} inputs=in {attrs}\nnode out Output inputs=n\n")
+        with pytest.raises(ParseError, match=f"BadAttributes n: {name} must be an integer"):
+            deserialize(text)
+
+    def test_scalar_conv_attributes_read_as_conv_node_reads_them(self):
+        text = ("version 1\nentry in\nexit out\nnode in Input\n"
+                "node c Convolution inputs=in in_channels=3 out_channels=8 kernel=3 stride=1 "
+                "padding=1\nnode out Output inputs=c\n")
+        graph = deserialize(text)
+        assert graph.nodes["c"].attrs == conv_node("c", 3, 8, 3, 1, 1).attrs
+        assert infer_shapes(graph, TensorShape(1, 3, (6, 6)))["c"] == TensorShape(1, 8, (6, 6))
 
     def test_duplicate_attribute_rejected(self):
         with pytest.raises(ParseError):

@@ -335,6 +335,21 @@ class TestMetrics:
         expected = (1 / 3 + 2 / 3 + 1 / 2) / 3
         assert mean_iou(inter, p, t) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_confusion_counts_match_a_per_class_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        classes = int(rng.integers(1, 6))
+        # Predictions may name more classes than the labels carry.
+        pred = rng.integers(0, classes + 2, size=(3, 5, 4))
+        labels = rng.integers(0, classes, size=(3, 5, 4))
+        got = confusion_counts(pred, labels, classes)
+        for c in range(classes):
+            pc, tc = pred == c, labels == c
+            assert [g[c] for g in got] == [np.count_nonzero(pc & tc), np.count_nonzero(pc),
+                                           np.count_nonzero(tc)]
+        assert all(g.shape == (classes,) for g in got)
+        assert int(got[0].sum()) == np.count_nonzero(pred == labels)
+
     def test_miou_perfect_and_empty(self):
         pred = np.array([0, 1])
         inter, p, t = confusion_counts(pred, pred, classes=3)

@@ -23,12 +23,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _digest_file(h, path: Path) -> None:
-    import numpy as np
-
     h.update(path.name.encode())
     if path.name == "metrics.csv":
         with open(path, newline="") as fh:
@@ -43,7 +43,7 @@ def _digest_file(h, path: Path) -> None:
         h.update(path.read_bytes())
 
 
-def _digest_array(h, key: str, arr) -> None:
+def _digest_array(h, key: str, arr: np.ndarray) -> None:
     h.update(f"{key} {arr.dtype.str} {arr.shape}".encode())
     h.update(arr.tobytes())
 
