@@ -5,21 +5,29 @@ The engine walks a graph in topological order computing numpy activations
 replays the tape in reverse, accumulating gradients for weights, node scales
 and (additively, for fan-out) intermediate activations.
 
-Ops: ``_OP_TABLE`` maps each kind to its op, ``op(node, xs, w, training)``,
-given the list of the node's input activations in slot order and its weights
-(None for a kind without). Every op returns its output and a backward that
-maps the output gradient to ``([gradient per input], {param key: gradient})``.
-Input, Output and Unknown share one op that passes its first input through;
-the Input op receives the batch as its one input, and its backward feeds no
-producer.
+Ops: ``_OP_TABLE`` maps each kind to its op,
+``op(node, xs, w, training, wants)``, given the list of the node's input
+activations in slot order, its weights (None for a kind without) and one
+flag per producer: whether backward will ask for that input's gradient.
+Backward wants none in a tape-free pass, and none for an input fed by the
+graph entry, because nothing reads that gradient. Every op returns its output
+and a backward that maps the output gradient to
+``([gradient or None per input], {param key: gradient})``; an op may give
+None for an unwanted gradient and skip its work, and ReLU, MaxPool and
+Convolution do. Input, Output and Unknown share one op that passes its first
+input through; the Input op receives the batch as its one input, and its
+backward feeds no producer.
 
 Lifetimes: ``forward`` drops each activation from its working dict as soon
 as its last consumer has run, and ``Run`` keeps only the output and the
 tape, so an activation outlives its consumers only where a tape record holds
 what backward reads. Each record keeps no more than its backward reads:
 Convolution its padded input planes, FullyConnected its input, BatchNorm the
-centred input, ReLU its output, MaxPool its input and output, Product its
-inputs, and Sum, Concat and Upsample nothing but widths and indices. An op
+centred input, ReLU its bool mask ``y > 0``, MaxPool one bool per input
+element marking the tap that takes each window's gradient, Product its
+inputs, and Sum, Concat and Upsample nothing but widths and indices. ReLU
+and MaxPool build their masks only when backward wants their input's
+gradient, so a tape-free pass builds none. An op
 owns the list of inputs ``forward`` hands it, and ``forward`` keeps no other
 reference to an input whose last consumer is running (the caller's batch
 aside), so an op that takes such an input out of the list frees it as soon
@@ -72,7 +80,8 @@ output. Backward blocks are runs of whole taps: each gives its ``dkernel``
 rows from one GEMM of its tap rows against the padded output gradient, and
 its share of ``dx`` from one GEMM against the matching kernel columns, added
 into the padded gradient planes in tap order; one copy out of the phases
-then gives ``dx``. Blocking splits the GEMMs along their output columns or
+then gives ``dx``; when ``dx`` is unwanted, backward runs only the
+``dkernel`` GEMMs. Blocking splits the GEMMs along their output columns or
 rows only and reorders no reduction of this module; a small layer is one
 block in each pass, as is every resnet18 w16 convolution at 8x8 and batch 8.
 The BLAS may still pick its kernel by a call's shape, so a split GEMM can
@@ -82,9 +91,10 @@ the padded planes.
 Pooling layout: tap ``(i, j)`` of the non-overlapping ``f x f`` windows is
 the strided view ``x[:, :, i:oh*f:f, j:ow*f:f]``. MaxPool's forward is a copy
 of the first tap's view and an in-place ``np.maximum`` with each other tap;
-its backward sends each window's gradient to the first tap (row-major) equal
-to the max, the tap ``np.argmax`` would pick, so ties after a ReLU resolve
-the same way; its tape keeps only ``x`` and ``y``. Upsample's forward is
+each window's gradient goes to the first tap (row-major) equal to the max,
+the tap ``np.argmax`` would pick, so ties after a ReLU resolve the same way.
+A taped forward marks that tap in one bool mask per tap, and backward
+writes each tap's view of ``dx`` from its mask. Upsample's forward is
 ``f * f`` strided writes into the output, its backward the sum of ``f * f``
 strided views of the gradient; its tape keeps nothing.
 
@@ -221,7 +231,7 @@ class Run:
                 gy = gy * _cshape(vec, gy.ndim)
             in_grads, p_grads = fn(gy)
             for src, g in zip(in_keys, in_grads):
-                if g is None:
+                if g is None:  # unwanted (see Ops)
                     continue
                 if src in act_grads:
                     act_grads[src] = act_grads[src] + g
@@ -285,10 +295,11 @@ def forward(
                 raise MissingWeights(f"no weights for node {nid!r}")
 
         xs = [x] if node.kind == OpKind.INPUT else [acts[p] for p in producers]
+        wants = [tape and p != graph.entry for p in producers]
         for p in producers:
             if last_use[p] == i:
                 acts.pop(p, None)
-        y, fn = _OP_TABLE[node.kind](node, xs, weights.get(nid), training)
+        y, fn = _OP_TABLE[node.kind](node, xs, weights.get(nid), training, wants)
         del xs
         scale = None
         if nid in scales:
@@ -312,17 +323,18 @@ def forward(
 # -- per-kind ops (see Ops in the module docstring) ----------------------------
 
 
-def _op_relu(node, xs, w, training):
+def _op_relu(node, xs, w, training, wants):
     y = np.maximum(xs[0], 0)
+    # y > 0 exactly where x > 0, -0.0 and NaN included.
+    mask = y > 0 if wants[0] else None
 
     def fn(gy):
-        # y > 0 exactly where x > 0, -0.0 and NaN included.
-        return [gy * (y > 0)], {}
+        return [None if mask is None else gy * mask], {}
 
     return y, fn
 
 
-def _op_sum(node, xs, w, training):
+def _op_sum(node, xs, w, training, wants):
     y = xs[0].copy()
     for other in xs[1:]:
         y += other
@@ -334,7 +346,7 @@ def _op_sum(node, xs, w, training):
     return y, fn
 
 
-def _op_product(node, xs, w, training):
+def _op_product(node, xs, w, training, wants):
     y = xs[0].copy()
     for other in xs[1:]:
         y *= other
@@ -352,7 +364,7 @@ def _op_product(node, xs, w, training):
     return y, fn
 
 
-def _op_concat(node, xs, w, training):
+def _op_concat(node, xs, w, training, wants):
     widths = [a.shape[1] for a in xs]
     y = np.concatenate(xs, axis=1)
 
@@ -400,7 +412,7 @@ def _phase_axis(n, k, s, p, n_out):
     return pitch, spans
 
 
-def _op_conv(node, xs, w, training):
+def _op_conv(node, xs, w, training, wants):
     # Taking x out of xs lets it go once the planes hold it (see Lifetimes).
     x = xs.pop()
     kernel = w["kernel"]
@@ -467,26 +479,30 @@ def _op_conv(node, xs, w, training):
         # Backward blocks are runs of taps: each splits both GEMMs along
         # their output rows only, and its dx share is added in tap order.
         dkernel = np.empty((kh * kw * ci, co), dtype=np.result_type(planes, gmat))
-        dplanes = np.zeros_like(planes)
+        dplanes = np.zeros_like(planes) if wants[0] else None
         step = max(1, _BLOCK_BYTES // max(1, ci * n_out * planes.itemsize))
         for t0 in range(0, len(taps), step):
             t1 = min(t0 + step, len(taps))
             rows = slice(t0 * ci, t1 * ci)
             dkernel[rows] = gather(t0, t1, 0, n_out) @ gmat.T
-            dcols = (kmat[:, rows].T @ gmat).reshape(t1 - t0, ci, n_out)
-            for (a, c, d), dcol in zip(taps[t0:t1], dcols):
-                dplanes[a, c, :, d:d + n_out] += dcol
+            if dplanes is not None:
+                dcols = (kmat[:, rows].T @ gmat).reshape(t1 - t0, ci, n_out)
+                for (a, c, d), dcol in zip(taps[t0:t1], dcols):
+                    dplanes[a, c, :, d:d + n_out] += dcol
+        dkernel = dkernel.reshape(kh, kw, ci, co).transpose(3, 2, 0, 1)
+        grads = {("w", node.id, "kernel"): np.ascontiguousarray(dkernel)}
+        if dplanes is None:
+            return [None], grads
         dgrid = dplanes[..., :n_out].reshape(grid.shape)
         dx = np.zeros((b, ci, h, wdt), dtype=gy.dtype)
         for a, c, xr, xc, gr, gc in phases:
             dx[:, :, xr, xc] = dgrid[a, c, :, :, gr, gc].transpose(1, 0, 2, 3)
-        dkernel = dkernel.reshape(kh, kw, ci, co).transpose(3, 2, 0, 1)
-        return [dx], {("w", node.id, "kernel"): np.ascontiguousarray(dkernel)}
+        return [dx], grads
 
     return y, fn
 
 
-def _op_fc(node, xs, w, training):
+def _op_fc(node, xs, w, training, wants):
     x = xs[0]
     weight, bias = w["weight"], w["bias"]
     orig_shape = x.shape
@@ -506,7 +522,7 @@ def _op_fc(node, xs, w, training):
     return y, fn
 
 
-def _op_batchnorm(node, xs, w, training):
+def _op_batchnorm(node, xs, w, training, wants):
     # Taking x out of xs lets it go once xc exists (see Lifetimes).
     x = xs.pop()
     gamma, beta = w["gamma"], w["beta"]
@@ -566,7 +582,7 @@ def _pool_taps(f, oh, ow):
     ]
 
 
-def _op_maxpool(node, xs, w, training):
+def _op_maxpool(node, xs, w, training, wants):
     x = xs[0]
     f = int(node.attr("factor"))
     taps = _pool_taps(f, x.shape[2] // f, x.shape[3] // f)
@@ -576,32 +592,37 @@ def _op_maxpool(node, xs, w, training):
         # np.maximum returns its second operand on ties, so y keeps the
         # earliest of equal values, as the first-max rule of backward does.
         np.maximum(x[:, :, rows, cols], y, out=y)
-
-    def fn(gy):
-        # Each window's gradient goes to its first tap equal to the max, as
-        # np.argmax would pick it; remainder rows and columns get zero.
-        # `free` marks the windows whose max has not been met yet, so the
-        # last tap takes all of them without a comparison. The mask
-        # multiplies gy's bit patterns, so a tap that is not the max gets
-        # +0.0 (a float product would give -0.0 where gy < 0).
-        dx = np.zeros(x.shape, dtype=gy.dtype)
-        bits = np.dtype(f"u{gy.dtype.itemsize}")
-        gbits = gy.view(bits)
-        free = np.ones(y.shape, dtype=bool)
-        hit = np.empty(y.shape, dtype=bool)
-        for rows, cols in taps[:-1]:
+    shape, hits = x.shape, None
+    if wants[0]:
+        # hits[t] marks the windows whose gradient tap t takes: the first
+        # tap equal to the max, as np.argmax would pick it. `free` marks the
+        # windows whose max has not been met yet, so the last tap takes all
+        # of them without a comparison.
+        hits = np.empty((len(taps), *y.shape), dtype=bool)
+        free = hits[-1]
+        free[...] = True
+        for (rows, cols), hit in zip(taps[:-1], hits):
             np.equal(x[:, :, rows, cols], y, out=hit)
             hit &= free
             free ^= hit
+
+    def fn(gy):
+        if hits is None:
+            return [None], {}
+        # The mask multiplies gy's bit patterns, so a tap that is not the max
+        # gets +0.0 (a float product would give -0.0 where gy < 0);
+        # remainder rows and columns get zero.
+        dx = np.zeros(shape, dtype=gy.dtype)
+        bits = np.dtype(f"u{gy.dtype.itemsize}")
+        gbits = gy.view(bits)
+        for (rows, cols), hit in zip(taps, hits):
             np.multiply(gbits, hit, out=dx[:, :, rows, cols].view(bits))
-        rows, cols = taps[-1]
-        np.multiply(gbits, free, out=dx[:, :, rows, cols].view(bits))
         return [dx], {}
 
     return y, fn
 
 
-def _op_upsample(node, xs, w, training):
+def _op_upsample(node, xs, w, training, wants):
     x = xs[0]
     f = int(node.attr("factor"))
     b, c, h, wdt = x.shape
@@ -620,7 +641,7 @@ def _op_upsample(node, xs, w, training):
     return y, fn
 
 
-def _op_pass(node, xs, w, training):
+def _op_pass(node, xs, w, training, wants):
     # Input, Output and Unknown operators pass their first input through; an
     # Unknown node's groups are non-prunable, so it only keeps data flowing.
     rest = [None] * (len(xs) - 1)

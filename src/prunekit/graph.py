@@ -78,6 +78,9 @@ KIND_RULES: dict[OpKind, tuple[tuple[str, ...], int, int | None]] = {
 #: Least value of each required attribute, an integer or a tuple of integers.
 _LEAST = {"in_channels": 1, "out_channels": 1, "kernel": 1, "stride": 1, "padding": 0, "factor": 1}
 
+#: Attributes with one value per spatial axis: a node's must share one rank.
+_SPATIAL = ("kernel", "stride", "padding")
+
 #: Reserved attribute holding the original kind token of an Unknown node.
 KIND_NAME_ATTR = "kind_name"
 
@@ -436,6 +439,10 @@ def _check_attrs(node: OperatorNode) -> list[Diagnostic]:
             diags.append(Diagnostic("BadAttributes", node.id, f"{name} must be an integer, got {value!r}"))
         elif any(v < _LEAST[name] for v in vals):
             diags.append(Diagnostic("NonPositiveExtent", node.id, f"{name} must be >= {_LEAST[name]}"))
+    ranks = {name: len(node.attrs[name]) for name in required
+             if name in _SPATIAL and isinstance(node.attrs[name], (tuple, list))}
+    if len(set(ranks.values())) > 1:
+        diags.append(Diagnostic("BadAttributes", node.id, f"spatial attributes differ in rank: {ranks}"))
     return diags
 
 

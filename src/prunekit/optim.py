@@ -45,12 +45,24 @@ class OptimConfig:
 
 
 class Optimizer:
-    """SGD-with-momentum or Adam over a flat {key: array} parameter view."""
+    """SGD-with-momentum or Adam over a flat {key: array} parameter view.
+
+    Moments are updated in place, and each update's temporaries go into one
+    reused pair of scratch arrays per dtype, as large as the largest
+    parameter. The operations keep the order of the textbook formulas, so
+    the result is bitwise that of computing them out of place."""
 
     def __init__(self, config: OptimConfig):
         self.config = config
         self.t = 0
         self.slots: dict[ParamKey, dict[str, np.ndarray]] = {}
+        self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _temporaries(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pair = self._scratch.get(p.dtype)
+        if pair is None or pair[0].size < p.size:
+            pair = self._scratch[p.dtype] = (np.empty(p.size, p.dtype), np.empty(p.size, p.dtype))
+        return pair[0][:p.size].reshape(p.shape), pair[1][:p.size].reshape(p.shape)
 
     def step(
         self,
@@ -75,28 +87,38 @@ class Optimizer:
             updates.append((key, p, g))
         self.t += 1
         for key, p, g in updates:
+            # g may be the caller's array: it is read, never written.
+            s1, s2 = self._temporaries(p)
             if cfg.weight_decay and key[0] == "w" and key[2] in _DECAYED:
-                g = g + cfg.weight_decay * p
+                np.multiply(p, cfg.weight_decay, out=s1)
+                s1 += g  # g + weight_decay * p
+                g = s1
             slot = self.slots.setdefault(key, {})
             if cfg.kind == "sgd":
-                vel = slot.get("vel")
-                if vel is None:
-                    vel = np.zeros_like(p)
-                vel = cfg.momentum * vel + g
-                slot["vel"] = vel
-                p -= rate * vel
+                if "vel" not in slot:
+                    slot["vel"] = np.zeros_like(p)
+                vel = slot["vel"]
+                vel *= cfg.momentum
+                vel += g
+                p -= np.multiply(vel, rate, out=s2)
             else:
-                m = slot.get("m")
-                v = slot.get("v")
-                if m is None:
-                    m = np.zeros_like(p)
-                    v = np.zeros_like(p)
-                m = cfg.beta1 * m + (1 - cfg.beta1) * g
-                v = cfg.beta2 * v + (1 - cfg.beta2) * np.square(g)
-                slot["m"], slot["v"] = m, v
-                mhat = m / (1 - cfg.beta1 ** self.t)
-                vhat = v / (1 - cfg.beta2 ** self.t)
-                p -= rate * mhat / (np.sqrt(vhat) + cfg.eps)
+                if "m" not in slot:
+                    slot["m"], slot["v"] = np.zeros_like(p), np.zeros_like(p)
+                m, v = slot["m"], slot["v"]
+                m *= cfg.beta1
+                m += np.multiply(g, 1 - cfg.beta1, out=s2)
+                v *= cfg.beta2
+                np.square(g, out=s2)
+                s2 *= 1 - cfg.beta2
+                v += s2
+                # p -= rate * mhat / (sqrt(vhat) + eps), mhat in s1, vhat in s2
+                np.divide(m, 1 - cfg.beta1 ** self.t, out=s1)
+                np.divide(v, 1 - cfg.beta2 ** self.t, out=s2)
+                s1 *= rate
+                np.sqrt(s2, out=s2)
+                s2 += cfg.eps
+                s1 /= s2
+                p -= s1
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -244,3 +244,34 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     n = np.asarray(numeric, dtype=np.float64).reshape(-1)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-4)
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+
+
+def reference_optimizer_step(cfg, state: dict, params: dict, grads: dict, lr=None) -> None:
+    """One Adam or SGD-with-momentum step as the textbook writes it, every
+    expression out of place. ``cfg`` has the optimizer config's fields,
+    ``state`` is ``{"t": int, "slots": {key: {name: array}}}``; both
+    ``state`` and the arrays of ``params`` are updated (each parameter is
+    overwritten with its new value). Weight decay applies to ``kernel`` and
+    ``weight`` arrays only."""
+    rate = cfg.lr if lr is None else lr
+    state["t"] += 1
+    t = state["t"]
+    for key in sorted(grads):
+        if key not in params:
+            continue
+        p = params[key]
+        g = np.asarray(grads[key], dtype=p.dtype)
+        if cfg.weight_decay and key[0] == "w" and key[2] in ("kernel", "weight"):
+            g = g + cfg.weight_decay * p
+        slot = state["slots"].setdefault(key, {})
+        if cfg.kind == "sgd":
+            vel = cfg.momentum * slot.get("vel", np.zeros_like(p)) + g
+            slot["vel"] = vel
+            p[...] = p - rate * vel
+        else:
+            m = cfg.beta1 * slot.get("m", np.zeros_like(p)) + (1 - cfg.beta1) * g
+            v = cfg.beta2 * slot.get("v", np.zeros_like(p)) + (1 - cfg.beta2) * np.square(g)
+            slot["m"], slot["v"] = m, v
+            mhat = m / (1 - cfg.beta1 ** t)
+            vhat = v / (1 - cfg.beta2 ** t)
+            p[...] = p - rate * mhat / (np.sqrt(vhat) + cfg.eps)

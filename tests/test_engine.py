@@ -50,8 +50,13 @@ from oracles import (
 )
 
 
-def chain_graph(*mid_nodes):
-    nodes = [simple_node("in", OpKind.INPUT), *mid_nodes, simple_node("out", OpKind.OUTPUT)]
+def chain_graph(*mid_nodes, fed_by_entry=False):
+    """``in -> feed -> *mid_nodes -> out``. The first mid node reads the
+    entry through the pass-through ``feed``, so backward wants its input
+    gradient; with ``fed_by_entry`` it reads the entry, and backward wants
+    none (see Ops in the engine docstring)."""
+    feed = [] if fed_by_entry else [simple_node("feed", OpKind.UNKNOWN, kind_name="Feed")]
+    nodes = [simple_node("in", OpKind.INPUT), *feed, *mid_nodes, simple_node("out", OpKind.OUTPUT)]
     edges = [(nodes[i].id, nodes[i + 1].id, 0) for i in range(len(nodes) - 1)]
     return Graph(nodes={n.id: n for n in nodes}, edges=tuple(edges), entry="in", exit="out")
 
@@ -668,6 +673,36 @@ class TestRunSemantics:
         assert keys == sorted(keys)
 
 
+class TestWantedGradients:
+    """Backward asks for no gradient of an input fed by the graph entry, so
+    the op computes none and keeps nothing for it."""
+
+    def test_conv_fed_by_the_entry_gives_no_dx_and_the_same_dkernel(self):
+        node = conv_node("c", 3, 5, kernel=3, stride=2, padding=1)
+        rng = np.random.default_rng(14)
+        x = rng.normal(0, 1, (2, 3, 9, 7)).astype(np.float32)
+        kernel = rng.normal(0, 1, (5, 3, 3, 3)).astype(np.float32)
+        passes = []
+        for fed_by_entry in (False, True):
+            run = forward(chain_graph(node, fed_by_entry=fed_by_entry), {"c": {"kernel": kernel}}, x)
+            gy = np.random.default_rng(15).normal(0, 1, run.output.shape).astype(np.float32)
+            passes.append(op_record(run, "c")(gy))
+        ([dx], want), ([none], got) = passes
+        assert dx is not None and dx.shape == x.shape and none is None
+        assert got.keys() == want.keys() == {("w", "c", "kernel")}
+        assert_bitwise_equal(got[("w", "c", "kernel")], want[("w", "c", "kernel")])
+
+    @pytest.mark.parametrize(
+        "node", [simple_node("r", OpKind.RELU), simple_node("p", OpKind.MAX_POOL, factor=2)]
+    )
+    def test_mask_ops_fed_by_the_entry_keep_nothing(self, node):
+        x = np.random.default_rng(16).normal(0, 1, (2, 3, 4, 4))
+        run = forward(chain_graph(node, fed_by_entry=True), {}, x)
+        fn = op_record(run, node.id)
+        assert not any(isinstance(c.cell_contents, np.ndarray) for c in fn.__closure__ or ())
+        assert fn(np.ones_like(run.output)) == ([None], {})
+
+
 class TestActivationLifetimes:
     """Bytes a forward pass allocates, traced by ``tracemalloc`` (NumPy
     reports its array buffers to it), on resnet8 w16 and unet-small w8 at
@@ -697,11 +732,13 @@ class TestActivationLifetimes:
 
     def test_resnet8_eval_peak_is_bounded(self):
         """The evaluation pass of resnet8 w16 at batch 112 peaks at about
-        14 MB: each convolution's tap matrix is built a few images at a time
-        and BatchNorm lets its input go early. A pass that built each tap
-        matrix whole peaked at 25.2 MB."""
+        14 MB: each convolution's tap matrix is built a few images at a time,
+        BatchNorm lets its input go early, and no ReLU or MaxPool builds a
+        mask for a backward that will not run. A pass that built each tap
+        matrix whole peaked at 25.2 MB, and one that built the masks at
+        15.75 MB."""
         _, peak, _, _ = self.traced_forward(112, training=False, tape=False)
-        assert peak < 16 * 2**20, peak / 2**20
+        assert peak < 14.5 * 2**20, peak / 2**20
 
     def test_unet_eval_peak_is_bounded(self):
         """unet-small w8's evaluation pass at batch 32 peaks at about 6.2 MB:
@@ -715,11 +752,13 @@ class TestActivationLifetimes:
 
     def test_unet_training_step_peak_is_bounded(self):
         """A taped training pass of unet-small w8 at batch 16 and its
-        backward peak at about 18 MB: backward builds its tap rows and their
-        ``dx`` share a few taps at a time. Whole tap matrices, built again
-        in backward next to a same-size gradient, peaked at 29.8 MB."""
+        backward peak at about 15.3 MB: backward builds its tap rows and
+        their ``dx`` share a few taps at a time, and ReLU and MaxPool tape
+        masks, not float activations. Tapes that held those activations
+        peaked at 17.6 MB; whole tap matrices, built again in backward next
+        to a same-size gradient, at 29.8 MB."""
         _, peak, _, _ = self.traced_forward(16, graph=self.UNET, backward=True, training=True)
-        assert peak < 20 * 2**20, peak / 2**20
+        assert peak < 16.5 * 2**20, peak / 2**20
 
     def test_tape_free_eval_holds_only_live_activations(self):
         """An eval pass at the evaluation batch (112) without a tape peaks
@@ -741,13 +780,29 @@ class TestActivationLifetimes:
     def test_taped_training_pass_holds_what_backward_reads(self):
         """After a taped training pass at batch 32 the tape holds what each
         backward reads (padded convolution planes, BatchNorm's centred input,
-        ReLU's and MaxPool's outputs, the pooled features the head reads):
-        about 9.3 MB. A pass that also kept every activation until it
-        returned held 17.4 MB; 13 MB leaves room for allocator detail and
-        fails if that comes back."""
+        ReLU's and MaxPool's bool masks, the pooled features the head reads):
+        about 6.9 MB. Tapes that kept ReLU's and MaxPool's float activations
+        held 9.3 MB, and a pass that also kept every activation until it
+        returned 17.4 MB."""
         run, _, held, _ = self.traced_forward(32, training=True)
-        assert held <= 13 * 2**20, held / 2**20
+        assert held <= 8 * 2**20, held / 2**20
         run.backward(np.ones_like(run.output))
+
+    @pytest.mark.parametrize("graph", [GRAPH, UNET], ids=["resnet8", "unet-small"])
+    def test_taped_relu_and_maxpool_records_hold_no_float_array(self, graph):
+        """Their backwards route the gradient by a mask, so their records
+        hold bool masks and no float activation."""
+        shapes = infer_shapes(graph, TensorShape(2, 3, (32, 32)))
+        weights = init_weights(graph, shapes, np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        run = forward(graph, weights, x, training=True)
+        kinds = {OpKind.RELU, OpKind.MAX_POOL}
+        records = [(fn, scale) for nid, _, fn, scale in run._tape if graph.nodes[nid].kind in kinds]
+        assert {graph.nodes[nid].kind for nid, *_ in run._tape} >= kinds
+        for fn, scale in records:
+            arrays = [c.cell_contents for c in fn.__closure__ or ()
+                      if isinstance(c.cell_contents, np.ndarray)]
+            assert scale is None and arrays and all(a.dtype == bool for a in arrays)
 
     @pytest.mark.parametrize(
         "node,training",
@@ -755,14 +810,15 @@ class TestActivationLifetimes:
             (simple_node("bn", OpKind.BATCH_NORM), True),
             (simple_node("bn", OpKind.BATCH_NORM), False),
             (simple_node("r", OpKind.RELU), True),
+            (simple_node("p", OpKind.MAX_POOL, factor=2), True),
             (conv_node("c", 3, 4, kernel=3, stride=1, padding=1), True),
             (simple_node("u", OpKind.UPSAMPLE, factor=2), True),
         ],
     )
     def test_tape_records_do_not_keep_their_input(self, node, training):
-        """These ops' backwards read the centred input, the output, the
-        padded planes or nothing, so once the caller lets go of the input,
-        the taped run must not keep it alive."""
+        """These ops' backwards read the centred input, a mask, the padded
+        planes or nothing, so once the caller lets go of the input, the
+        taped run must not keep it alive."""
         rng = np.random.default_rng(9)
         weights = {
             "bn": bn_weights(np.ones(3), np.zeros(3)),

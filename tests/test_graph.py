@@ -312,6 +312,21 @@ class TestValidate:
                   simple_node("out", OpKind.OUTPUT))
         assert "BadAttributes" in {d.code for d in validate(g, TensorShape(1, 3, (4, 4)))}
 
+    @pytest.mark.parametrize(
+        "name,value", [("stride", (1,)), ("stride", (1, 1, 1)), ("padding", (1,)), ("padding", (1, 1, 1))]
+    )
+    def test_conv_attributes_of_another_rank_than_the_kernel_rejected(self, name, value):
+        """A stride or padding whose rank differs from the kernel's is a
+        ``BadAttributes`` diagnostic, not a silently truncated shape and a
+        bare ``ValueError`` from the engine."""
+        node = conv_node("c", 3, 4, kernel=3, stride=1, padding=1)
+        g = chain(simple_node("in", OpKind.INPUT),
+                  OperatorNode("c", OpKind.CONV, {**node.attrs, name: value}),
+                  simple_node("out", OpKind.OUTPUT))
+        diags = validate(g, TensorShape(1, 3, (6, 6)))
+        assert [(d.code, d.node) for d in diags] == [("BadAttributes", "c")]
+        assert f"'{name}': {len(value)}" in diags[0].message
+
     # Each kind's rules, pinned apart from the code's own table: a full
     # attribute set and the least and most input count (None: unbounded).
     KIND_PINS = {
@@ -480,6 +495,13 @@ class TestTextFormat:
         graph = deserialize(text)
         assert graph.nodes["c"].attrs == conv_node("c", 3, 8, 3, 1, 1).attrs
         assert infer_shapes(graph, TensorShape(1, 3, (6, 6)))["c"] == TensorShape(1, 8, (6, 6))
+
+    def test_conv_attributes_of_mismatched_rank_rejected(self):
+        text = ("version 1\nentry in\nexit out\nnode in Input\n"
+                "node c Convolution inputs=in in_channels=3 out_channels=8 kernel=3,3 stride=1,1 "
+                "padding=1,1,1\nnode out Output inputs=c\n")
+        with pytest.raises(ParseError, match="BadAttributes c: spatial attributes differ in rank"):
+            deserialize(text)
 
     def test_duplicate_attribute_rejected(self):
         with pytest.raises(ParseError):

@@ -20,6 +20,8 @@ from prunekit.optim import (
 from prunekit.relax import init_gates
 from prunekit.subgraph import identify_subgraphs
 
+from oracles import reference_optimizer_step
+
 
 def hand_adam(theta0, grads, lr, b1, b2, eps):
     """Textbook Adam with bias correction, stepped in plain Python."""
@@ -155,6 +157,76 @@ class TestOptimizers:
         opt.step(p, dict(g))
         clone.step(p2, dict(g))
         np.testing.assert_array_equal(p[("w", "n", "kernel")], p2[("w", "n", "kernel")])
+
+
+def assert_same_bits(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+class TestInPlaceUpdates:
+    """The in-place optimizer against ``oracles.reference_optimizer_step``,
+    which computes every expression out of place, bit for bit."""
+
+    def problem(self, seed=0):
+        """Parameters of both dtypes and several sizes (the largest is not
+        first in key order), and a gradient stream that skips one key at one
+        step and gives one float32 parameter float64 gradients."""
+        rng = np.random.default_rng(seed)
+        shapes = {
+            ("s", 0): (3,), ("s", 1): (5,),
+            ("w", "a", "kernel"): (4, 3, 3, 3), ("w", "b", "kernel"): (8, 4, 3, 3),
+            ("w", "bn", "beta"): (8,), ("w", "bn", "gamma"): (8,),
+            ("w", "fc", "bias"): (2,), ("w", "fc", "weight"): (2, 8),
+        }
+        params = {
+            k: rng.normal(0, 1, s).astype(np.float64 if k[0] == "s" else np.float32)
+            for k, s in shapes.items()
+        }
+        steps = []
+        for i in range(6):
+            grads = {k: rng.normal(0, 1, p.shape).astype(p.dtype) for k, p in params.items()}
+            grads[("w", "fc", "weight")] = grads[("w", "fc", "weight")].astype(np.float64)
+            if i == 2:
+                del grads[("w", "a", "kernel")]
+            steps.append((grads, 0.003 if i == 4 else None))
+        return params, steps
+
+    def check(self, cfg, params, steps, opt=None, state=None):
+        opt = opt or Optimizer(cfg)
+        state = state or {"t": 0, "slots": {}}
+        want = {k: p.copy() for k, p in params.items()}
+        for grads, lr in steps:
+            snapshot = {k: g.copy() for k, g in grads.items()}
+            opt.step(params, grads, lr=lr)
+            reference_optimizer_step(cfg, state, want, grads, lr=lr)
+            assert_same_bits(grads, snapshot)  # the caller's gradients stay as they were
+        assert opt.t == state["t"]
+        assert_same_bits(params, want)
+        assert opt.slots.keys() == state["slots"].keys()
+        for key, slot in state["slots"].items():
+            assert_same_bits(opt.slots[key], slot)
+        return opt, state
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_steps_match_the_reference_bitwise(self, kind, weight_decay):
+        params, steps = self.problem()
+        self.check(OptimConfig(kind=kind, lr=0.01, weight_decay=weight_decay), params, steps)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_resumed_steps_match_the_reference_bitwise(self, kind, tmp_path):
+        cfg = OptimConfig(kind=kind, lr=0.01, weight_decay=0.05)
+        params, steps = self.problem(1)
+        opt, state = self.check(cfg, params, steps[:3])
+        save_checkpoint(tmp_path / "ck.npz", graph=build_reference_model("resnet8"),
+                        weights={}, optimizer=opt)
+        resumed = Optimizer(cfg)
+        loaded = load_checkpoint(tmp_path / "ck.npz").opt_state
+        resumed.t, resumed.slots = loaded["t"], loaded["slots"]
+        self.check(cfg, params, steps[3:], resumed, state)
 
 
 class TestCheckpoints:

@@ -18,7 +18,7 @@ from prunekit.engine import forward
 from prunekit.errors import CheckpointError, InvalidConfig, ResumeMismatch, RewriteMismatch
 from prunekit.graph import TensorShape, infer_shapes, validate
 from prunekit.objective import ObjectiveConfig, confusion_counts, mean_iou
-from prunekit.optim import OptimConfig, load_checkpoint, save_checkpoint
+from prunekit.optim import OptimConfig, Optimizer, load_checkpoint, save_checkpoint
 from prunekit.relax import GateSet, channel_totals, gate_scales, snapshot
 from prunekit.subgraph import identify_subgraphs
 from prunekit.workflow import (
@@ -641,6 +641,53 @@ def test_each_cut_writes_its_report_as_one_json_record(tmp_path, monkeypatch):
         assert record["residual"] <= workflow.REWRITE_RTOL * record["output_max"]
         assert row["sigma_p"] == f"{record['params_after'] / result.baseline[0]:.6f}"
         assert row["sigma_q"] == f"{record['flops_after'] / result.baseline[1]:.6f}"
+
+
+def test_in_place_optimizer_trains_as_the_reference_across_a_cut_removing_nodes(
+    tmp_path, monkeypatch
+):
+    """A run whose first cut removes a whole residual branch (the optimizer
+    restarts after it, on fewer parameters) ends with bitwise the weights,
+    gates and scores of the same run stepped by the out-of-place reference
+    optimizer."""
+    from oracles import reference_optimizer_step
+
+    original = workflow.threshold_masks
+    cut_count = []
+
+    def masks_killing_the_first_branch(gates, tau, min_keep=0):
+        masks = original(gates, tau, min_keep)
+        if not cut_count:
+            masks.masks[0] = np.zeros_like(masks.masks[0])  # b1.conv1's group
+        cut_count.append(tau)
+        return masks
+
+    def reference_step(self, params, grads, lr=None):
+        state = self.__dict__.setdefault("reference_state", {"t": 0, "slots": {}})
+        reference_optimizer_step(self.config, state, params, grads, lr)
+
+    monkeypatch.setattr(workflow, "threshold_masks", masks_killing_the_first_branch)
+    steps = [StepSpec(epochs=1), StepSpec(prune=True, threshold=0.5, epochs=1),
+             StepSpec(prune=True, threshold=0.6, epochs=1)]
+    results = []
+    for name in ("in-place", "reference"):
+        cut_count.clear()
+        if name == "reference":
+            monkeypatch.setattr(Optimizer, "step", reference_step)
+        config = mini_config(tmp_path / name, steps=steps,
+                             optimizer=OptimConfig(kind="adam", lr=3e-3, weight_decay=1e-3))
+        results.append(run(config, *mini_data(config)))
+    removed = json.loads((tmp_path / "in-place" / "prune_step_01.json").read_text())["removed_nodes"]
+    assert "b1.conv1" in removed and "b1.conv2" in removed
+    got, want = results
+    assert got.scores == want.scores
+    assert got.weights.keys() == want.weights.keys()
+    for nid, arrays in want.weights.items():
+        for name, arr in arrays.items():
+            assert got.weights[nid][name].tobytes() == arr.tobytes(), (nid, name)
+    assert got.gates.values.keys() == want.gates.values.keys()
+    for gid, arr in want.gates.values.items():
+        assert got.gates.values[gid].tobytes() == arr.tobytes(), gid
 
 
 # -- command line ---------------------------------------------------------------------
