@@ -47,22 +47,16 @@ class OptimConfig:
 class Optimizer:
     """SGD-with-momentum or Adam over a flat {key: array} parameter view.
 
-    Moments are updated in place, and each update's temporaries go into one
-    reused pair of scratch arrays per dtype, as large as the largest
-    parameter. The operations keep the order of the textbook formulas, so
-    the result is bitwise that of computing them out of place."""
+    Moments are updated in place, and a step puts every update's temporaries
+    into one pair of scratch arrays per dtype, as large as the step's largest
+    parameter and let go when the step ends. The operations keep the order of
+    the textbook formulas, so the result is bitwise that of computing them
+    out of place."""
 
     def __init__(self, config: OptimConfig):
         self.config = config
         self.t = 0
         self.slots: dict[ParamKey, dict[str, np.ndarray]] = {}
-        self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _temporaries(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pair = self._scratch.get(p.dtype)
-        if pair is None or pair[0].size < p.size:
-            pair = self._scratch[p.dtype] = (np.empty(p.size, p.dtype), np.empty(p.size, p.dtype))
-        return pair[0][:p.size].reshape(p.shape), pair[1][:p.size].reshape(p.shape)
 
     def step(
         self,
@@ -86,9 +80,13 @@ class Optimizer:
                 raise NonFiniteGradient(f"gradient for {key!r} contains NaN or Inf")
             updates.append((key, p, g))
         self.t += 1
+        sizes: dict[np.dtype, int] = {}
+        for _, p, _ in updates:
+            sizes[p.dtype] = max(sizes.get(p.dtype, 0), p.size)
+        scratch = {dtype: (np.empty(n, dtype), np.empty(n, dtype)) for dtype, n in sizes.items()}
         for key, p, g in updates:
             # g may be the caller's array: it is read, never written.
-            s1, s2 = self._temporaries(p)
+            s1, s2 = (a[:p.size].reshape(p.shape) for a in scratch[p.dtype])
             if cfg.weight_decay and key[0] == "w" and key[2] in _DECAYED:
                 np.multiply(p, cfg.weight_decay, out=s1)
                 s1 += g  # g + weight_decay * p
