@@ -9,10 +9,10 @@ operator's cost is a polynomial of degree at most two in those widths: with
 multiply-accumulates, with the per-kind coefficients of
 :func:`prunekit.subgraph.cost_coefficients`.
 :func:`~prunekit.subgraph.identify_subgraphs` compiles them once per graph
-into the coloring's :class:`~prunekit.subgraph.CostTable`, together with the
-fully-on totals. The value (:func:`structure_measures`) and its exact
-gradient with respect to the widths (:func:`structure_grads`) are a few
-array operations over that one table; this module knows nothing of gates.
+into the coloring's :class:`~prunekit.subgraph.CostTable`, which is plain
+data. This module owns the polynomial: its value, its fully-on totals and
+its exact gradient with respect to the widths sit side by side below, each a
+few array operations over that one table; this module knows nothing of gates.
 """
 from __future__ import annotations
 
@@ -74,11 +74,28 @@ def op_flops(
     return c_in * c_out * q2 + c_out * q1
 
 
+def _costs(coloring: Coloring, widths) -> np.ndarray:
+    """Per-node ``[params, flops]`` rows at the group ``widths`` (None: all on)."""
+    t = coloring.costs
+    c = np.asarray([g.width for g in coloring.groups] if widths is None else widths, np.float64)
+    c_in, c_out = t.u @ c, t.v @ c
+    return (c_in * c_out) * t.quad + c_out * t.lin
+
+
 def _totals(coloring: Coloring, baseline: tuple[float, float] | None) -> tuple[float, float]:
-    total_p, total_q = coloring.costs.totals if baseline is None else baseline
+    """``baseline``, or the ``(params, flops)`` sums with every channel on."""
+    total_p, total_q = baseline or _costs(coloring, None).sum(axis=1).tolist()
     if total_p <= 0.0 or total_q <= 0.0:
         raise ZeroTotal("graph has no parametric operators to account for")
     return total_p, total_q
+
+
+def structure_partials(coloring: Coloring, widths: np.ndarray) -> np.ndarray:
+    """Partial derivatives of the relaxed totals w.r.t. each group's
+    effective width: rows ``dP/dc`` and ``dQ/dc``, indexed by group id."""
+    t = coloring.costs
+    c_in, c_out = t.u @ widths, t.v @ widths
+    return (t.quad * c_out) @ t.u + (t.quad * c_in + t.lin) @ t.v
 
 
 def structure_measures(
@@ -96,9 +113,7 @@ def structure_measures(
     that physically rewrites its graph passes the original model's totals so
     ``sigma_p`` / ``sigma_q`` keep measuring "fraction of the original cost".
     """
-    if widths is None:
-        widths = [g.width for g in coloring.groups]
-    params, flops = coloring.costs.at(np.asarray(widths, dtype=np.float64))
+    params, flops = _costs(coloring, widths)
     total_p, total_q = _totals(coloring, baseline)
     relaxed_p, relaxed_q = float(params.sum()), float(flops.sum())
     return CostReport(
@@ -113,14 +128,6 @@ def structure_measures(
         sigma_q=relaxed_q / total_q,
         notes=coloring.costs.notes,
     )
-
-
-def structure_partials(coloring: Coloring, widths: np.ndarray) -> np.ndarray:
-    """Partial derivatives of the relaxed totals w.r.t. each group's
-    effective width: rows ``dP/dc`` and ``dQ/dc``, indexed by group id."""
-    t = coloring.costs
-    c_in, c_out = t.u @ widths, t.v @ widths
-    return (t.quad * c_out) @ t.u + (t.quad * c_in + t.lin) @ t.v
 
 
 def structure_grads(

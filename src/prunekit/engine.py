@@ -48,7 +48,8 @@ returns the float64 channel sum of ``gy * unscaled output`` under the key
 ``("n", node_id)`` and hands ``gy * vector`` to the op's backward. Gates use
 it with their gains at the sites ``relax.gate_sites`` picks and turn those
 gradients into score gradients with ``relax.score_grads``; a masked model
-uses it with fixed keep-times-gain vectors.
+uses it with fixed keep-times-gain vectors. The engine knows no gate set:
+``trainable_params`` takes the gate scores as a plain dict.
 
 Numerics: activations and parameters share the caller's dtype (training uses
 float32); statistics and gradient *reductions* (BatchNorm moments, per-channel
@@ -119,7 +120,6 @@ from .errors import (
     StaleTape,
 )
 from .graph import Graph, OpKind, TensorShape
-from .relax import GateSet
 
 ParamKey = tuple  # ("w", node_id, param_name), ("s", group_id) or ("n", node_id)
 Weights = dict[str, dict[str, np.ndarray]]
@@ -173,17 +173,17 @@ def init_weights(
     return weights
 
 
-def trainable_params(weights: Weights, gates: GateSet) -> dict[ParamKey, np.ndarray]:
-    """Flat, deterministically ordered view of every trainable array
-    (BatchNorm running statistics are state, not parameters)."""
+def trainable_params(weights: Weights, scores: dict[int, np.ndarray]) -> dict[ParamKey, np.ndarray]:
+    """Flat, deterministically ordered view of every trainable array, gate
+    ``scores`` last (BatchNorm running statistics are state, not parameters)."""
     params: dict[ParamKey, np.ndarray] = {}
     for nid in sorted(weights):
         for name in sorted(weights[nid]):
             if name.startswith("running_"):
                 continue
             params[("w", nid, name)] = weights[nid][name]
-    for gid in sorted(gates.values):
-        params[("s", gid)] = gates.values[gid]
+    for gid in sorted(scores):
+        params[("s", gid)] = scores[gid]
     return params
 
 

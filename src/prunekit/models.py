@@ -6,6 +6,7 @@ train in seconds on a CPU.
 """
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable
 
 from .errors import InvalidConfig, UnknownModel
@@ -141,9 +142,14 @@ _REGISTRY: dict[str, Callable[..., Graph]] = {
 
 
 def build_reference_model(name: str, **config: Any) -> Graph:
-    """Build a registered reference model by name."""
+    """Build a registered reference model by name from integer arguments."""
     try:
         builder = _REGISTRY[name]
     except KeyError:
         raise UnknownModel(f"unknown model {name!r}; available: {sorted(_REGISTRY)}")
+    takes = inspect.signature(builder).parameters
+    for key, value in config.items():
+        if key not in takes or type(value) is not int:
+            raise InvalidConfig(f"model {name!r} takes integer arguments {list(takes)}, "
+                                f"not {key}={value!r}")
     return builder(**config)

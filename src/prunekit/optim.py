@@ -40,8 +40,8 @@ class OptimConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("adam", "sgd"):
             raise InvalidConfig(f"unknown optimizer kind {self.kind!r}")
-        if self.lr <= 0:
-            raise InvalidConfig("learning rate must be positive")
+        if not self.lr > 0:
+            raise InvalidConfig(f"learning rate must be positive, got {self.lr}")
 
 
 class Optimizer:

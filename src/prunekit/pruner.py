@@ -25,7 +25,7 @@ from .accounting import structure_measures
 from .engine import Weights, forward
 from .errors import EmptyNetwork, InvalidConfig, ShapeDrift
 from .graph import Graph, OpKind, OperatorNode, TensorShape, infer_shapes
-from .relax import GateSet, MaskSet, gate_scales, sigma, snapshot
+from .relax import GateSet, MaskSet, gate_scales, init_gates, scale_sites, snapshot
 from .subgraph import Coloring, identify_subgraphs
 
 _CLAMPED = (OpKind.CONV, OpKind.FULLY_CONNECTED, OpKind.BATCH_NORM)
@@ -169,9 +169,10 @@ def rewrite(
     whose outputs are entirely dead are removed; joins left with one operand
     are spliced away; anything no longer on a path to the exit is dropped.
     Gate scores for surviving channels carry over to the new graph's groups;
-    a group the cut made prunable gets a fresh score, and its producers'
-    arrays are divided by that score's gain, so the new graph still runs
-    those channels at gain 1. An ungated network (empty ``gates``) stays
+    a group the cut made prunable gets a fresh score from
+    :func:`~prunekit.relax.init_gates`, in the gate set's dtype, and its gate
+    sites' arrays are divided by that score's gain, so the new graph still
+    runs those channels at gain 1. An ungated network (empty ``gates``) stays
     ungated.
     """
     alive = alive_channels(graph, coloring, masks)
@@ -257,26 +258,22 @@ def rewrite(
     new_coloring = identify_subgraphs(new_graph, new_shapes)
 
     # Carry surviving gate scores over to the new grouping: a new group takes
-    # the scores of the old group that its first producer (by node id) seeded.
-    new_values: dict[int, np.ndarray] = {}
+    # the scores of the old group that its first producer (by node id) seeded;
+    # a group the cut made prunable keeps its fresh score, whose gain is divided out.
+    new_gates = replace(gates, values={})
     if gates.values:
+        dtype = next(iter(gates.values.values())).dtype
+        new_gates = init_gates(new_coloring, gates.steepness, gates.stiffening_sd, dtype=dtype)
+        fresh_gains = snapshot(new_gates)
         old_group: dict[int, int] = {}
         for nid in sorted(new_coloring.producers):
             old_group.setdefault(new_coloring.producers[nid], coloring.producers[nid])
-        for group in new_coloring.prunable_groups():
-            old_gid = old_group[group.id]
+        for gid in new_gates.values:
+            old_gid = old_group[gid]
             if old_gid in gates.values:
-                new_values[group.id] = gates.values[old_gid][keep[old_gid]]
-                continue
-            new_values[group.id] = np.full(group.width, 1.0 / gates.steepness, np.float32)
-            gain = sigma(new_values[group.id], gates.steepness)
-            for nid, gid in new_coloring.producers.items():
-                if gid == group.id:
-                    for arr in new_weights[nid].values():
-                        arr /= _rows(gain, arr)
-    new_gates = GateSet(
-        values=new_values, steepness=gates.steepness, stiffening_sd=gates.stiffening_sd
-    )
+                new_gates.values[gid] = gates.values[old_gid][keep[old_gid]]
+                del fresh_gains[gid]
+        scale_sites(new_coloring, fresh_gains, new_weights, np.divide)
 
     # Integer structure counts of the kept operators at the binary masks (old
     # graph, effective widths) and of the rewritten graph.
@@ -359,18 +356,11 @@ def fold_gates(coloring: Coloring, gates: GateSet, weights: Weights) -> Weights:
     """Bake the soft gains into the weights so the gates can be dropped.
 
     Every array of each gate site is scaled along its output-channel axis 0
-    by the site's gains, so the result matches the gated network exactly in
-    both training and evaluation modes.
+    by the site's gains (:func:`~prunekit.relax.scale_sites`), so the result
+    matches the gated network exactly in both training and evaluation modes.
     """
     new_weights: Weights = {
         nid: {name: arr.copy() for name, arr in per.items()} for nid, per in weights.items()
     }
-    for nid, gains in gate_scales(coloring, snapshot(gates)).items():
-        for arr in new_weights[nid].values():
-            arr *= _rows(gains, arr)
+    scale_sites(coloring, snapshot(gates), new_weights, np.multiply)
     return new_weights
-
-
-def _rows(v: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """Per-channel ``v`` in ``arr``'s dtype, shaped to scale its axis 0."""
-    return v.astype(arr.dtype).reshape((-1,) + (1,) * (arr.ndim - 1))

@@ -10,13 +10,13 @@ network as little as possible.
 A training step evaluates the gains once (:func:`snapshot`); the forward
 scales, the score chain rule and the group widths all read that one dict.
 
-Gate sites: a group's gains multiply the output of each of its producers
-(``Coloring.producers``: convolution and fully-connected outputs), applied
-through ``engine.forward``'s ``node_scales``. :func:`gate_sites` is the one
-place that picks those nodes; training, evaluation, the masked model and
-folding all go through it. ``gate_scales(coloring, gains)`` hands the float64
-gains over as they are: ``engine.forward`` makes the one cast to the
-activation dtype.
+This module owns the gate rules. :func:`init_gates` is the one fresh-score
+rule, also for a group a rewrite makes prunable. A group's gains multiply the
+output of each of its producers (``Coloring.producers``), and
+:func:`gate_sites` is the one place that picks those nodes. Training,
+evaluation and the masked model pass the float64 gains to ``engine.forward``
+as ``node_scales`` (:func:`gate_scales`); folding and a rewrite's fresh-gain
+division apply them to the sites' weights (:func:`scale_sites`).
 """
 from __future__ import annotations
 
@@ -84,30 +84,26 @@ def init_gates(
     coloring: Coloring,
     steepness: float = DEFAULT_STEEPNESS,
     stiffening_sd: float = DEFAULT_STIFFENING_SD,
-    initial_score: float | None = None,
     jitter: float = 0.0,
     rng: np.random.Generator | None = None,
     dtype: np.dtype = np.float32,
 ) -> GateSet:
     """Fresh gates for every prunable group.
 
-    The default initial score is ``1 / steepness`` so every gate starts at
+    Every score starts at ``1 / steepness`` so every gate starts at
     ``sigma = 1 / (1 + 1/e) ~ 0.73``: clearly on, but with usable slope.
-    ``jitter`` adds zero-mean Gaussian noise to the scores: channels of one
-    group feel identical architecture pressure, so without some asymmetry a
-    whole group would move in lockstep and die or survive only as a unit.
+    ``jitter >= 0`` adds zero-mean Gaussian noise to the scores: channels of
+    one group feel identical architecture pressure, so without some asymmetry
+    a whole group would move in lockstep and die or survive only as a unit.
     """
-    s0 = (1.0 / steepness) if initial_score is None else initial_score
+    if not jitter >= 0:
+        raise InvalidConfig(f"gate jitter must be non-negative, got {jitter}")
     if jitter and rng is None:
         rng = np.random.default_rng(0)
     values: dict[int, np.ndarray] = {}
-    for g in coloring.groups:
-        if not g.prunable:
-            continue
-        scores = np.full(g.width, s0, dtype=np.float64)
-        if jitter:
-            scores += rng.normal(0.0, jitter, size=g.width)
-        values[g.id] = scores.astype(dtype)
+    for g in coloring.prunable_groups():
+        noise = rng.normal(0.0, jitter, size=g.width) if jitter else 0.0
+        values[g.id] = (np.full(g.width, 1.0 / steepness) + noise).astype(dtype)
     return GateSet(values=values, steepness=steepness, stiffening_sd=stiffening_sd)
 
 
@@ -138,6 +134,15 @@ def gate_scales(coloring: Coloring, gains: dict[int, np.ndarray]) -> dict[str, n
     """Per-group ``gains`` as ``engine.forward``'s ``node_scales``; the
     engine casts them to the activation dtype."""
     return {nid: gains[gid] for nid, gid in gate_sites(coloring).items() if gid in gains}
+
+
+def scale_sites(coloring: Coloring, gains: dict[int, np.ndarray], weights: dict, op) -> None:
+    """Apply each group's ``gains`` in place, with the ufunc ``op`` (``np.multiply``
+    folds, ``np.divide`` unfolds), to every array its gate sites have in
+    ``weights``, along axis 0 and in the array's dtype."""
+    for nid, g in gate_scales(coloring, gains).items():
+        for arr in weights[nid].values():
+            op(arr, g.astype(arr.dtype).reshape((-1,) + (1,) * (arr.ndim - 1)), out=arr)
 
 
 def score_grads(coloring: Coloring, gates: GateSet, gains: dict, grads: dict) -> dict:

@@ -26,14 +26,14 @@ The same walk records the group each Convolution/FullyConnected output seeds
 where each group's channels meet parametric operators, which numbers the
 groups (see :func:`identify_subgraphs`).
 
-The result also carries the graph's :class:`CostTable`: every operator's
-cost as a polynomial in the group widths, by the rule in
+The result also carries the graph's :class:`CostTable`, plain data: every
+operator's cost as a polynomial in the group widths, by the rule in
 :func:`cost_coefficients`, for :mod:`prunekit.accounting` to evaluate.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class CostTable:
     Entry ``i`` is ``nodes[i]`` (topological order). At group widths ``c``
     its input and output widths are ``u[i] @ c`` and ``v[i] @ c``, and
     columns ``i`` of ``quad``/``lin`` hold its :func:`cost_coefficients`.
-    ``totals`` are the ``(params, flops)`` sums with every channel on.
     """
 
     nodes: tuple[str, ...]
@@ -106,12 +105,6 @@ class CostTable:
     quad: np.ndarray
     lin: np.ndarray
     notes: tuple[str, ...]
-    totals: tuple[float, float] = (0.0, 0.0)
-
-    def at(self, c: np.ndarray) -> np.ndarray:
-        """Per-node ``[params, flops]`` rows at group widths ``c``."""
-        c_in, c_out = self.u @ c, self.v @ c
-        return (c_in * c_out) * self.quad + c_out * self.lin
 
 
 @dataclass(frozen=True)
@@ -252,18 +245,15 @@ def identify_subgraphs(graph: Graph, shapes: dict[str, TensorShape]) -> Coloring
         for nid, segs in desc.items()
     }
     producers = {nid: group_ids[dsu.find(h)] for nid, h in producers.items()}
-    costs = _compile_costs(graph, shapes, node_segments, groups)
+    costs = _compile_costs(graph, shapes, node_segments, len(groups))
     return Coloring(groups, node_segments, producers, costs)
 
 
 def _compile_costs(
-    graph: Graph,
-    shapes: dict[str, TensorShape],
-    node_segments: dict[str, tuple[Segment, ...]],
-    groups: tuple[ChannelGroup, ...],
+    graph: Graph, shapes: dict[str, TensorShape], node_segments: dict, n_groups: int
 ) -> CostTable:
     order = graph.topo_order()
-    u, v = np.zeros((2, len(order), len(groups)))
+    u, v = np.zeros((2, len(order), n_groups))
     coefficients = []
     notes: set[str] = set()
     for i, nid in enumerate(order):
@@ -279,9 +269,7 @@ def _compile_costs(
         if node.kind in _NOTES:
             notes.add(_NOTES[node.kind])
     quad, lin = np.array(coefficients, dtype=np.float64).transpose(1, 2, 0)
-    table = CostTable(tuple(order), u, v, quad, lin, tuple(sorted(notes)))
-    full = table.at(np.array([g.width for g in groups], dtype=np.float64))
-    return replace(table, totals=tuple(full.sum(axis=1).tolist()))
+    return CostTable(tuple(order), u, v, quad, lin, tuple(sorted(notes)))
 
 
 def _merge_descriptors(

@@ -88,6 +88,8 @@ class StepSpec:
             raise InvalidConfig(f"threshold must lie in [0, 1), got {self.threshold}")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be non-negative")
+        if self.lr is not None and not self.lr > 0:
+            raise InvalidConfig(f"learning rate must be positive, got {self.lr}")
 
 
 def ramp_steps(
@@ -347,7 +349,8 @@ def run(
             rng=rng,
         )
         optimizer = Optimizer(config.optimizer)
-        baseline = coloring.costs.totals
+        dense = structure_measures(graph, coloring, None, shapes)
+        baseline = (dense.total_params, dense.total_flops)
     else:
         ckpt = load_checkpoint(resume_from)
         meta = ckpt.meta
@@ -426,7 +429,7 @@ def run(
                         coloring=coloring, gates=gates, shapes=shapes,
                         objective=obj, step=step_index, baseline=baseline,
                     )
-                    optimizer.step(trainable_params(weights, gates), grads, lr=spec.lr)
+                    optimizer.step(trainable_params(weights, gates.values), grads, lr=spec.lr)
                     epoch_losses.append(breakdown.task_loss)
                     metrics.write(
                         step=step_index, epoch=global_epoch, iteration=iteration,

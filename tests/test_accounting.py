@@ -17,7 +17,7 @@ from prunekit.graph import (
     simple_node,
 )
 from prunekit.models import build_reference_model
-from prunekit.relax import GateSet, channel_totals, init_gates, slope, snapshot
+from prunekit.relax import GateSet, channel_totals, slope, snapshot
 from prunekit.subgraph import cost_coefficients, identify_subgraphs
 
 from gen import gated_setups, grouped_setup, random_gates, random_masks
@@ -26,6 +26,11 @@ from oracles import brute_force_counts, full_widths, kept_from_masks, relative_e
 
 def widths(col, gates):
     return channel_totals(col, snapshot(gates))
+
+
+def uniform_gates(col, score):
+    """Every prunable group's scores at ``score``."""
+    return GateSet({g.id: np.full(g.width, score, np.float32) for g in col.prunable_groups()})
 
 
 def resnet8_setup(batch=1):
@@ -54,7 +59,7 @@ class TestFrozenValues:
 
     def test_half_gated_conv(self):
         g, shapes, col = resnet8_setup()
-        gates = init_gates(col, initial_score=0.0)  # sigma = 0.5 everywhere
+        gates = uniform_gates(col, 0.0)  # sigma = 0.5 everywhere
         report = structure_measures(g, col, widths(col, gates), shapes)
         # stem conv input channels are the raw image (ungated), output halved
         assert report.per_op["stem.conv"].params == pytest.approx(216.0)  # 3 * 8 * 9
@@ -67,8 +72,8 @@ class TestFrozenValues:
 
     def test_relaxed_totals_interpolate(self):
         g, shapes, col = resnet8_setup()
-        nearly_off = init_gates(col, initial_score=-20.0)
-        nearly_on = init_gates(col, initial_score=20.0)
+        nearly_off = uniform_gates(col, -20.0)
+        nearly_on = uniform_gates(col, 20.0)
         lo = structure_measures(g, col, widths(col, nearly_off), shapes)
         hi = structure_measures(g, col, widths(col, nearly_on), shapes)
         assert lo.relaxed_params < hi.relaxed_params
@@ -191,7 +196,7 @@ class TestGradients:
 class TestChannelTotals:
     def test_gated_groups_sum_gains(self):
         g, shapes, col = resnet8_setup()
-        gates = init_gates(col, initial_score=0.0)
+        gates = uniform_gates(col, 0.0)
         sums = channel_totals(col, snapshot(gates))
         for group in col.groups:
             if group.id in gates.values:

@@ -529,7 +529,7 @@ class TestGradients:
         )
         # Central differences on a loss of magnitude O(10) carry round-off
         # noise of about eps * |L| / h; h = 1e-5 keeps that near 1e-10.
-        params = trainable_params(weights, gates)
+        params = trainable_params(weights, gates.values)
         h = 1e-5
         worst = 0.0
         for key, arr in params.items():

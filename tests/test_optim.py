@@ -140,6 +140,8 @@ class TestOptimizers:
             OptimConfig(kind="adagrad")
         with pytest.raises(InvalidConfig):
             OptimConfig(lr=0.0)
+        with pytest.raises(InvalidConfig):
+            OptimConfig(lr=float("nan"))
 
     def test_state_dict_round_trip(self, tmp_path):
         opt = Optimizer(OptimConfig(kind="adam", lr=0.01))

@@ -255,7 +255,7 @@ def assert_same_arrays(got, want):
 def test_checkpoint_round_trip_resumes_bitwise(seed, kind):
     graph, col, weights, gates, _ = gated_case(seed)
     rng = np.random.default_rng(seed)
-    params = trainable_params(weights, gates)
+    params = trainable_params(weights, gates.values)
     grads = {key: rng.normal(0, 1, p.shape).astype(p.dtype) for key, p in params.items()}
     optimizer = Optimizer(OptimConfig(kind=kind, lr=1e-2, weight_decay=1e-3))
     optimizer.step(params, grads)
@@ -266,7 +266,7 @@ def test_checkpoint_round_trip_resumes_bitwise(seed, kind):
         ck = load_checkpoint(path)
 
     assert graphio.serialize(ck.graph) == graphio.serialize(graph)
-    assert_same_arrays(trainable_params(ck.weights, ck.gates), params)
+    assert_same_arrays(trainable_params(ck.weights, ck.gates.values), params)
     for nid, arrays in weights.items():
         assert_same_arrays(ck.weights[nid], arrays)
     restored = Optimizer(OptimConfig(kind=kind, lr=1e-2, weight_decay=1e-3))
@@ -277,7 +277,7 @@ def test_checkpoint_round_trip_resumes_bitwise(seed, kind):
         assert_same_arrays(restored.slots[key], slot)
     assert ck.rng_state == rng.bit_generator.state
 
-    resumed = trainable_params(ck.weights, ck.gates)
+    resumed = trainable_params(ck.weights, ck.gates.values)
     optimizer.step(params, grads)
     restored.step(resumed, grads)
     assert_same_arrays(resumed, params)

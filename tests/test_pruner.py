@@ -227,22 +227,28 @@ class TestRewrite:
                                       weights["c3"]["kernel"][:, columns])
         assert verify_equivalence(graph, col, weights, ungated, masks, result, entry) == 0.0
 
-    def test_group_the_cut_makes_prunable_keeps_gain_one(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_group_the_cut_makes_prunable_keeps_gain_one(self, dtype):
         # gen.py's graph of seed 191: conv1's one channel joins the entry
         # through product2 = conv1 * in, so it shares the entry's unprunable
         # group and runs ungated. Killing conv3's group removes conv3, relu4,
         # product2 and cat7, and conv1 then seeds a prunable group of its
-        # own, whose fresh score has gain sigma(1) ~ 0.73. The rewrite must
-        # divide that gain out of conv1's kernel.
+        # own, whose fresh score is init_gates' (gain sigma(1) ~ 0.73) in the
+        # gate set's dtype. The rewrite must divide that gain out of conv1's
+        # kernel.
         graph, entry, shapes, col = grouped_setup(191)
         weights = init_weights(graph, shapes, np.random.default_rng(0))
-        gates = init_gates(col)
+        gates = init_gates(col, dtype=dtype)
         assert not col.group(col.producers["conv1"]).prunable
         masks = MaskSet({producer_group(col, "conv3"): np.zeros(2, np.int8)}, threshold=0.5)
         result = rewrite(graph, col, weights, gates, masks, shapes)
         assert result.report.removed_nodes == ("cat7", "conv3", "product2", "relu4")
         new_gid = result.coloring.producers["conv1"]
         assert result.coloring.group(new_gid).prunable
+        fresh = init_gates(result.coloring, gates.steepness, dtype=dtype).values[new_gid]
+        assert result.gates.values[new_gid].dtype == dtype
+        np.testing.assert_array_equal(result.gates.values[new_gid], fresh)
+        assert all(v.dtype == dtype for v in result.gates.values.values())
         gain = sigma(result.gates.values[new_gid], gates.steepness)
         np.testing.assert_allclose(result.weights["conv1"]["kernel"] * gain[:, None, None, None],
                                    weights["conv1"]["kernel"], rtol=1e-6)

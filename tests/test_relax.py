@@ -85,6 +85,11 @@ class TestGateSet:
         widest = max(a.values.values(), key=len)
         assert len(np.unique(widest)) == len(widest)
 
+    @pytest.mark.parametrize("bad", [-0.1, float("nan")])
+    def test_init_rejects_negative_jitter(self, bad):
+        with pytest.raises(InvalidConfig, match="jitter"):
+            init_gates(resnet8_coloring(), jitter=bad, rng=np.random.default_rng(0))
+
     def test_invalid_hyperparameters(self):
         with pytest.raises(InvalidConfig):
             GateSet(values={}, steepness=-1.0)

@@ -17,6 +17,7 @@ from prunekit.data import BLOBS, SHAPES, generate_synthetic, split
 from prunekit.engine import forward
 from prunekit.errors import CheckpointError, InvalidConfig, ResumeMismatch, RewriteMismatch
 from prunekit.graph import TensorShape, infer_shapes, validate
+from prunekit.models import build_reference_model
 from prunekit.objective import ObjectiveConfig, confusion_counts, mean_iou
 from prunekit.optim import OptimConfig, Optimizer, load_checkpoint, save_checkpoint
 from prunekit.relax import GateSet, channel_totals, gate_scales, snapshot
@@ -51,6 +52,17 @@ class TestStepSpec:
 
     def test_zero_threshold_allowed(self):
         assert StepSpec(prune=True, threshold=0.0).threshold == 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan")])
+    def test_nonpositive_lr_rejected(self, bad):
+        with pytest.raises(InvalidConfig, match="learning rate must be positive"):
+            StepSpec(lr=bad)
+
+    def test_lr_from_yaml_rejected_when_negative(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"steps": [{"epochs": 1, "lr": -1e-3}]}))
+        with pytest.raises(InvalidConfig, match="learning rate must be positive"):
+            WorkflowConfig.from_yaml(path)
 
 
 class TestWorkflowConfig:
@@ -149,6 +161,40 @@ class TestWorkflowConfig:
         path.write_text(yaml.safe_dump({"seed": None}))
         assert cli_main(["train", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be int")
+
+    @pytest.mark.parametrize("model, args, named", [
+        ("resnet8", {"widht": 8}, "widht"),
+        ("unet-small", {"input_size": 32}, "input_size"),
+        ("resnet18", {"width": 8.0}, "width"),
+        ("resnet8", {"classes": "4"}, "classes"),
+        ("unet-small", {"depth": True}, "depth"),
+    ])
+    def test_build_reference_model_names_a_bad_argument(self, model, args, named):
+        with pytest.raises(InvalidConfig, match=f"not {named}="):
+            build_reference_model(model, **args)
+
+    def test_run_rejects_a_bad_model_argument(self):
+        config = WorkflowConfig(model_args={"widht": 8}, dataset_size=40,
+                                steps=[StepSpec(epochs=0)])
+        with pytest.raises(InvalidConfig, match="widht"):
+            run(config)
+
+    def test_run_rejects_negative_gate_jitter(self):
+        config = WorkflowConfig(model_args={"width": 4}, dataset_size=40, gate_jitter=-0.1,
+                                steps=[StepSpec(epochs=0)])
+        with pytest.raises(InvalidConfig, match="jitter"):
+            run(config)
+
+    def test_train_reports_bad_model_argument_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(
+            {"model_args": {"widht": 8}, "dataset_size": 40, "steps": [{"epochs": 0}]}
+        ))
+        assert cli_main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: model 'resnet8' takes integer arguments ['width', 'classes', "
+            "'in_channels', 'input_size'], not widht=8"
+        )
 
     def test_train_reports_bad_nested_key_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "config.yaml"
