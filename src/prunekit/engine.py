@@ -19,9 +19,9 @@ input through; the Input op receives the batch as its one input, and its
 backward feeds no producer.
 
 Lifetimes: ``forward`` drops each activation from its working dict as soon
-as its last consumer has run, and ``Run`` keeps only the output and the
-tape, so an activation outlives its consumers only where a tape record holds
-what backward reads. Each record keeps no more than its backward reads:
+as its last consumer has run (``Graph.last_use``, computed once per graph),
+and ``Run`` keeps only the output and the tape, so an activation outlives
+its consumers only where a tape record holds what backward reads. Each record keeps no more than its backward reads:
 Convolution its padded input planes, FullyConnected its input, BatchNorm the
 centred input, ReLU its bool mask ``y > 0``, MaxPool one bool per input
 element marking the tap that takes each window's gradient, Product its
@@ -87,7 +87,10 @@ rows only and reorders no reduction of this module; a small layer is one
 block in each pass, as is every resnet18 w16 convolution at 8x8 and batch 8.
 The BLAS may still pick its kernel by a call's shape, so a split GEMM can
 round differently from a whole one. A convolution's tape record keeps only
-the padded planes.
+the padded planes. The layout's geometry (pitches, phase spans and tap
+offsets) depends on the input extent, kernel, stride and padding alone, so
+``_conv_plan`` computes it once per such shape and every batch size reuses
+it.
 
 Pooling layout: tap ``(i, j)`` of the non-overlapping ``f x f`` windows is
 the strided view ``x[:, :, i:oh*f:f, j:ow*f:f]``. MaxPool's forward is a copy
@@ -107,6 +110,7 @@ backward takes the two channel sums ``dgamma`` and ``dbeta`` and forms
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -277,13 +281,9 @@ def forward(
 
     scales = node_scales or {}
     order = graph.topo_order()
-    # Index of each activation's last consumer; the exit outlives the pass
-    # and an activation nothing consumes is dropped where it is made.
-    last_use = {nid: i for i, nid in enumerate(order)}
-    for i, nid in enumerate(order):
-        for p in graph.inputs(nid):
-            last_use[p] = i
-    last_use[graph.exit] = len(order)
+    # An activation goes when its last consumer runs; the exit outlives the
+    # pass, and an activation nothing consumes is dropped where it is made.
+    last_use = graph.last_use()
     acts: dict[str, np.ndarray] = {}
     records: list[_Record] | None = [] if tape else None
 
@@ -412,6 +412,36 @@ def _phase_axis(n, k, s, p, n_out):
     return pitch, spans
 
 
+@functools.lru_cache(maxsize=256)
+def _conv_plan(h, w, kh, kw, sh, sw, ph, pw):
+    """Padded polyphase layout of a convolution over an ``h x w`` input (see
+    module docstring), the same for every batch size: ``(oh, ow, hq, wq,
+    taps, phases, (row phases, column phases))``.
+
+    Output position n of the (b, hq, wq) grid reads tap (ki, kj) from phase
+    (ki % sh, kj % sw) at n + offset, so each tap window is one contiguous
+    slice of the grid's values; grid positions past the output extent are
+    computed and cropped. ``taps`` holds ``(row phase, column phase,
+    offset)`` per tap in row-major order, and each plane ends in a zero tail
+    of the last tap's offset that keeps its slice in bounds. ``phases``
+    holds ``(row phase, column phase, input rows, input columns, grid rows,
+    grid columns)`` per phase.
+    """
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    hq, row_spans = _phase_axis(h, kh, sh, ph, oh)
+    wq, col_spans = _phase_axis(w, kw, sw, pw, ow)
+    taps = tuple(
+        (ki % sh, kj % sw, (ki // sh) * wq + kj // sw) for ki in range(kh) for kj in range(kw)
+    )
+    phases = tuple(
+        (a, c, xr, xc, gr, gc)
+        for a, (xr, gr) in enumerate(row_spans)
+        for c, (xc, gc) in enumerate(col_spans)
+    )
+    return oh, ow, hq, wq, taps, phases, (len(row_spans), len(col_spans))
+
+
 def _op_conv(node, xs, w, training, wants):
     # Taking x out of xs lets it go once the planes hold it (see Lifetimes).
     x = xs.pop()
@@ -426,29 +456,11 @@ def _op_conv(node, xs, w, training, wants):
     ph, pw = (int(v) for v in node.attr("padding"))
     co, ci, kh, kw = kernel.shape
     b, _, h, wdt = x.shape
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (wdt + 2 * pw - kw) // sw + 1
+    oh, ow, hq, wq, taps, phases, n_phases = _conv_plan(h, wdt, kh, kw, sh, sw, ph, pw)
     if oh < 1 or ow < 1:
         raise ShapeMismatch(f"convolution {node.id!r} output would be empty for input {x.shape}")
-
-    # Padded polyphase layout (see module docstring). Output position n of
-    # the (b, hq, wq) grid reads tap (ki, kj) from phase (ki % sh, kj % sw) at
-    # n + offset, so each tap window is one contiguous slice of n_out values;
-    # grid positions past (oh, ow) are computed and cropped. Each plane ends
-    # in a zero tail that keeps the last tap's slice in bounds.
-    hq, row_spans = _phase_axis(h, kh, sh, ph, oh)
-    wq, col_spans = _phase_axis(wdt, kw, sw, pw, ow)
     n_out = b * hq * wq
-    taps = [
-        (ki % sh, kj % sw, (ki // sh) * wq + kj // sw) for ki in range(kh) for kj in range(kw)
-    ]
-    phases = [
-        (a, c, xr, xc, gr, gc)
-        for a, (xr, gr) in enumerate(row_spans)
-        for c, (xc, gc) in enumerate(col_spans)
-    ]
-
-    planes = np.zeros((len(row_spans), len(col_spans), ci, n_out + taps[-1][2]), dtype=x.dtype)
+    planes = np.zeros((*n_phases, ci, n_out + taps[-1][2]), dtype=x.dtype)
     grid = planes[..., :n_out].reshape(*planes.shape[:3], b, hq, wq)
     for a, c, xr, xc, gr, gc in phases:
         grid[a, c, :, :, gr, gc] = x[:, :, xr, xc].transpose(1, 0, 2, 3)

@@ -196,6 +196,7 @@ class Graph:
         object.__setattr__(self, "_inputs", {k: tuple(s for _, s in sorted(v)) for k, v in inputs.items()})
         object.__setattr__(self, "_outputs", {k: tuple(v) for k, v in outputs.items()})
         object.__setattr__(self, "_topo", None)
+        object.__setattr__(self, "_last_use", None)
 
     # -- structure queries ---------------------------------------------------
 
@@ -215,6 +216,22 @@ class Graph:
                 raise GraphStructureError(f"graph contains a cycle through {sorted(leftover)}")
             cached = tuple(order)
             object.__setattr__(self, "_topo", cached)
+        return cached
+
+    def last_use(self) -> dict[str, int]:
+        """Position in ``topo_order`` of each node's last consumer: the
+        node's own position when nothing consumes it, and one past the end
+        for the exit, whose value outlives the walk. Computed once per graph;
+        the caller must not modify it."""
+        cached = self._last_use  # type: ignore[attr-defined]
+        if cached is None:
+            order = self.topo_order()
+            cached = {nid: i for i, nid in enumerate(order)}
+            for i, nid in enumerate(order):
+                for p in self.inputs(nid):
+                    cached[p] = i
+            cached[self.exit] = len(order)
+            object.__setattr__(self, "_last_use", cached)
         return cached
 
 

@@ -141,6 +141,10 @@ class WorkflowConfig:
                 )
         if self.batch_size < 1:
             raise InvalidConfig("batch size must be >= 1")
+        if not 0 < self.train_fraction < 1:  # NaN fails too
+            raise InvalidConfig(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        if self.min_keep < 0:
+            raise InvalidConfig(f"min_keep must be non-negative, got {self.min_keep}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "WorkflowConfig":
@@ -376,6 +380,8 @@ def run(
         loss_scale = meta["loss_scale"]
         scores = [(int(s), float(v)) for s, v in meta.get("scores", [])]
 
+    # The arrays the optimizer updates, in place: the same until a rewrite.
+    params = trainable_params(weights, gates.values)
     metrics = _MetricsWriter(
         out_dir / "metrics.csv" if out_dir else None,
         resume_step=start_step if resume_from is not None else None,
@@ -402,6 +408,7 @@ def run(
                 )
             graph, weights = result.graph, result.weights
             coloring, gates, shapes = result.coloring, result.gates, result.shapes
+            params = trainable_params(weights, gates.values)
             # Moment estimates refer to parameter axes that may no longer
             # exist, so the optimizer restarts after every rewrite.
             optimizer = Optimizer(config.optimizer)
@@ -429,7 +436,7 @@ def run(
                         coloring=coloring, gates=gates, shapes=shapes,
                         objective=obj, step=step_index, baseline=baseline,
                     )
-                    optimizer.step(trainable_params(weights, gates.values), grads, lr=spec.lr)
+                    optimizer.step(params, grads, lr=spec.lr)
                     epoch_losses.append(breakdown.task_loss)
                     metrics.write(
                         step=step_index, epoch=global_epoch, iteration=iteration,

@@ -260,6 +260,29 @@ class TestConvBackwardOracles:
             np.testing.assert_allclose(lo, hi, rtol=1e-5, atol=1e-5 * np.max(np.abs(hi)))
 
 
+    def test_one_node_at_several_shapes_matches_direct_loops(self):
+        """Each input extent gets its own plan, shared by every batch size,
+        so a plan cannot carry one shape's geometry to another."""
+        rng = np.random.default_rng(6)
+        stride, padding = (2, 1), (1, 1)
+        g = chain_graph(conv_node("c", 3, 4, kernel=(3, 3), stride=stride, padding=padding))
+        k = rng.normal(0, 1, (4, 3, 3, 3))
+        engine._conv_plan.cache_clear()
+        for size in ((9, 7), (4, 5), (9, 7)):
+            for batch in (3, 1):
+                x = rng.normal(0, 1, (batch, 3, *size))
+                run = forward(g, {"c": {"kernel": k}}, x)
+                np.testing.assert_allclose(run.output, naive_conv(x, k, stride, padding),
+                                           rtol=1e-12, atol=1e-12)
+                gy = rng.normal(0, 1, run.output.shape)
+                (dx,), grads = op_record(run, "c")(gy)
+                want_dx, want_dkernel = naive_conv_backward(x, k, gy, stride, padding)
+                np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(grads[("w", "c", "kernel")], want_dkernel,
+                                           rtol=1e-12, atol=1e-12)
+        assert engine._conv_plan.cache_info().currsize == 2
+
+
 class TestConvOraclesAtTheSmallestBlocks(TestConvBackwardOracles):
     """Every convolution oracle again, with each pass split into its
     smallest blocks: one image per forward block, one tap per backward

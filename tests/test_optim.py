@@ -1,12 +1,15 @@
 """Optimizers against hand-stepped updates; checkpoint round trips."""
 import json
+import re
 
 import numpy as np
 import pytest
 
+from prunekit import optim
 from prunekit.cli import main as cli_main
 from prunekit.engine import init_weights
-from prunekit.errors import CheckpointError, InvalidConfig, NonFiniteGradient
+from prunekit.errors import CheckpointError, InvalidConfig, NonFiniteGradient, ShapeMismatch
+from prunekit.workflow import WorkflowConfig
 from prunekit.graph import TensorShape, infer_shapes
 from prunekit.graphio import serialize
 from prunekit.models import build_reference_model
@@ -143,6 +146,25 @@ class TestOptimizers:
         with pytest.raises(InvalidConfig):
             OptimConfig(lr=float("nan"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", -1e-3),
+        ("momentum", 1.0), ("momentum", -0.5), ("eps", 0.0), ("eps", -1e-8),
+        ("weight_decay", -1.0),
+        *((key, float("nan")) for key in ("beta1", "beta2", "momentum", "eps", "weight_decay")),
+    ])
+    def test_out_of_range_value_is_named(self, key, value):
+        with pytest.raises(InvalidConfig, match=f"^{key} must"):
+            OptimConfig(**{key: value})
+        with pytest.raises(InvalidConfig, match=f"^{key} must"):
+            WorkflowConfig.from_dict({"optimizer": {key: value}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta1", 0.0), ("beta2", 0.0), ("momentum", 0.0), ("weight_decay", 0.0),
+        ("eps", 1e-300), ("beta2", 0.999999),
+    ])
+    def test_edge_values_are_accepted(self, key, value):
+        assert getattr(OptimConfig(**{key: value}), key) == value
+
     def test_state_dict_round_trip(self, tmp_path):
         opt = Optimizer(OptimConfig(kind="adam", lr=0.01))
         p = {("w", "n", "kernel"): np.array([1.0, 2.0])}
@@ -229,6 +251,118 @@ class TestInPlaceUpdates:
         loaded = load_checkpoint(tmp_path / "ck.npz").opt_state
         resumed.t, resumed.slots = loaded["t"], loaded["slots"]
         self.check(cfg, params, steps[3:], resumed, state)
+
+
+class TestPackedGroups(TestInPlaceUpdates):
+    """The same reference checks over parameters on both sides of the
+    packing bound, of both dtypes and weight-decay classes, with a key set
+    that changes from step to step."""
+
+    def problem(self, seed=0):
+        bound = optim._PACK_ELEMENTS
+        rng = np.random.default_rng(seed)
+        shapes = {
+            ("s", 0): (3,), ("s", 1): (bound,), ("s", 2): (bound + 1,),
+            ("w", "a", "kernel"): (4, 3, 3, 3), ("w", "b", "kernel"): (8, 4, 3, 3),
+            ("w", "big", "kernel"): (bound // 9 + 1, 1, 3, 3),
+            ("w", "bn", "beta"): (8,), ("w", "bn", "gamma"): (8,),
+            ("w", "f64", "weight"): (3, 5), ("w", "fc", "bias"): (2,),
+            ("w", "fc", "weight"): (2, 8), ("w", "late", "gamma"): (6,),
+        }
+        params = {
+            k: rng.normal(0, 1, s).astype(np.float64 if k[0] == "s" or k[1] == "f64" else np.float32)
+            for k, s in shapes.items()
+        }
+        steps = []
+        for i in range(7):
+            grads = {k: rng.normal(0, 1, p.shape).astype(p.dtype) for k, p in params.items()}
+            grads[("w", "fc", "weight")] = grads[("w", "fc", "weight")].astype(np.float64)
+            grads[("n", "bn")] = rng.normal(0, 1, 8)  # a node-scale key: not a parameter
+            if i == 2:  # a packed and a lone key skip one step
+                del grads[("w", "a", "kernel")], grads[("s", 2)]
+            if i < 3:  # a key that joins late
+                del grads[("w", "late", "gamma")]
+            if i > 4:  # and one that leaves
+                del grads[("w", "bn", "beta")]
+            steps.append((grads, 0.003 if i == 4 else None))
+        return params, steps
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_an_assigned_state_is_adopted(self, kind, tmp_path):
+        """Rewinding an optimizer that already holds packs to a loaded state
+        repeats the steps taken since that state, bit for bit."""
+        cfg = OptimConfig(kind=kind, lr=0.01, weight_decay=0.05)
+        params, steps = self.problem(3)
+        opt, state = self.check(cfg, params, steps[:3])
+        saved = {k: p.copy() for k, p in params.items()}
+        rewound = {"t": state["t"],
+                   "slots": {k: {n: a.copy() for n, a in slot.items()}
+                             for k, slot in state["slots"].items()}}
+        save_checkpoint(tmp_path / "ck.npz", graph=build_reference_model("resnet8"),
+                        weights={}, optimizer=opt)
+        self.check(cfg, params, steps[3:], opt, state)
+        loaded = load_checkpoint(tmp_path / "ck.npz").opt_state
+        opt.t, opt.slots = loaded["t"], loaded["slots"]
+        for key, p in params.items():
+            p[...] = saved[key]
+        self.check(cfg, params, steps[3:], opt, rewound)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_moments_of_a_group_are_views_of_one_buffer(self, kind, weight_decay):
+        params, steps = self.problem()
+        opt, _ = self.check(OptimConfig(kind=kind, weight_decay=weight_decay), params, steps[:2])
+        name = "vel" if kind == "sgd" else "m"
+
+        def owner(arr):
+            while arr.base is not None:
+                arr = arr.base
+            return arr
+
+        def shared(a, b):
+            return owner(opt.slots[a][name]) is owner(opt.slots[b][name])
+
+        assert shared(("w", "bn", "beta"), ("w", "fc", "bias"))
+        assert shared(("s", 0), ("s", 1))  # float64, the bound itself is packed
+        assert not shared(("s", 1), ("s", 2))  # above the bound: alone
+        assert not shared(("w", "big", "kernel"), ("w", "b", "kernel"))
+        assert not shared(("w", "f64", "weight"), ("w", "b", "kernel"))  # another dtype
+        # decayed arrays pack apart from the others only when decay is on
+        assert shared(("w", "a", "kernel"), ("w", "bn", "gamma")) == (weight_decay == 0)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_rejected_step_changes_nothing(self, kind):
+        cfg = OptimConfig(kind=kind, lr=0.01, weight_decay=0.05)
+        params, steps = self.problem(2)
+        opt, _ = self.check(cfg, params, steps[:2])
+        before_p = {k: v.copy() for k, v in params.items()}
+        before_slots = {k: {n: a.copy() for n, a in slot.items()} for k, slot in opt.slots.items()}
+
+        def rejected(grads, error, match):
+            with pytest.raises(error, match=match):
+                opt.step(params, grads)
+            assert opt.t == 2
+            assert_same_bits(params, before_p)
+            assert opt.slots.keys() == before_slots.keys()
+            for key, slot in before_slots.items():
+                assert_same_bits(opt.slots[key], slot)
+
+        # steps[4] brings in a key that has no moments yet; its group and a
+        # lone key both hold a NaN, and the first bad key in order is named
+        grads = dict(steps[4][0])
+        grads[("w", "bn", "gamma")] = np.full(8, np.nan, np.float32)
+        grads[("w", "big", "kernel")] = grads[("w", "big", "kernel")].copy()
+        grads[("w", "big", "kernel")][0, 0, 0, 0] = np.inf
+        rejected(grads, NonFiniteGradient, re.escape("('w', 'big', 'kernel')"))
+        # a float64 gradient that overflows its float32 parameter
+        grads = dict(steps[4][0])
+        grads[("w", "fc", "weight")] = np.full((2, 8), 1e300)
+        with np.errstate(over="ignore"):
+            rejected(grads, NonFiniteGradient, re.escape("('w', 'fc', 'weight')"))
+        # a gradient whose size is not its parameter's would misalign a group
+        grads = dict(steps[4][0])
+        grads[("w", "bn", "gamma")] = np.zeros(7, np.float32)
+        rejected(grads, ShapeMismatch, re.escape("('w', 'bn', 'gamma')"))
 
 
 class TestCheckpoints:

@@ -171,6 +171,31 @@ class TestRewrite:
         assert residual == 0.0  # removal of dead branches is exact
         assert validate(result.graph, result.shapes[result.graph.entry]) == []
 
+    def test_forward_on_a_rewritten_graph_uses_its_own_schedule(self):
+        graph, entry, shapes, col, weights, gates = model_setup()
+        masks = MaskSet(
+            masks={g.id: np.ones(g.width, dtype=np.int8) for g in col.prunable_groups()},
+            threshold=0.5,
+        )
+        masks.masks[producer_group(col, "b1.conv1")][:] = 0
+        result = rewrite(graph, col, weights, gates, masks, shapes)
+        x = np.random.default_rng(3).normal(0, 1, entry.dims()).astype(np.float32)
+        forward(graph, weights, x)  # the parent graph's schedule exists first
+        new = result.graph
+        order = new.topo_order()
+        want = {nid: max([i for i, c in enumerate(order) if nid in new.inputs(c)],
+                         default=order.index(nid))
+                for nid in order}
+        want[new.exit] = len(order)
+        assert new.last_use() == want and new.last_use() is not graph.last_use()
+        # a node the rewrite removed has no place in the schedule
+        assert "b1.sum" not in new.last_use()
+        scales = gate_scales(result.coloring, snapshot(result.gates))
+        got = forward(new, result.weights, x, node_scales=scales).output
+        fresh = Graph(nodes=dict(new.nodes), edges=new.edges, entry=new.entry, exit=new.exit)
+        want_out = forward(fresh, result.weights, x, node_scales=scales).output
+        assert got.tobytes() == want_out.tobytes()
+
     def test_entry_channels_survive_a_dead_residual_branch(self):
         # in -> c1 -> c2 -> Sum(in, c2) -> c3: c2's group is the entry's
         # (merged by the Sum), and killing c1 starves c2. The entry channels

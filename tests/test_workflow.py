@@ -149,12 +149,20 @@ class TestWorkflowConfig:
 
     def test_from_dict_accepts_ints_for_floats_and_none_where_allowed(self):
         config = WorkflowConfig.from_dict({
-            "train_fraction": 1, "out_dir": None,
+            "steepness": 3, "out_dir": None,
             "steps": [{"threshold": None, "lr": 1}],
             "optimizer": {"lr": 1},
         })
-        assert config.train_fraction == 1 and config.out_dir is None
+        assert config.steepness == 3 and config.out_dir is None
         assert config.steps[0].lr == 1 and config.optimizer.lr == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("train_fraction", 0.0), ("train_fraction", 1), ("train_fraction", 1.5),
+        ("train_fraction", -0.2), ("train_fraction", float("nan")), ("min_keep", -1),
+    ])
+    def test_out_of_range_value_is_named(self, key, value):
+        with pytest.raises(InvalidConfig, match=f"^{key} must"):
+            WorkflowConfig.from_dict({key: value})
 
     def test_train_reports_badly_typed_value_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "config.yaml"

@@ -1,15 +1,17 @@
 """Bitwise parity of two source checkouts on the benchmark's workloads.
 
-    python3 tools/parity.py PARENT CHANGE [--seed 7]
+    python3 tools/parity.py PARENT CHANGE [--seed 7] [--seed 8 ...]
 
-Runs every workload of ``perfbench/workloads.py`` once at ``--seed`` in each
-checkout (prunekit and the workload configs both come from that checkout),
-in one subprocess per checkout with one BLAS thread, and prints one SHA-256
-artifact digest per workload. A digest covers what the workflow writes and
-returns: ``metrics.csv`` without its ``seconds`` column, every
-``prune_step_NN.json``, ``final_graph.txt``, ``gates_snapshot.txt``, every
-checkpoint's arrays and header, the final folded weights and the scores.
-Exits 1 if a side fails or any workload's digests differ, 0 otherwise.
+Runs every workload of ``perfbench/workloads.py`` once at each ``--seed``
+(default 7) in each checkout (prunekit and the workload configs both come
+from that checkout), in one subprocess per checkout with one BLAS thread,
+and prints one SHA-256 artifact digest per (workload, seed). A digest covers
+what the workflow writes and returns: ``metrics.csv`` without its
+``seconds`` column, every ``prune_step_NN.json``, ``final_graph.txt``,
+``gates_snapshot.txt``, every checkpoint's arrays and header, the final
+folded weights and the scores. A workflow that raises gets its error's type
+and message in place of a digest, so a failing run is compared too.
+Exits 1 if a side fails or any (workload, seed) differs, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -48,8 +51,9 @@ def _digest_array(h, key: str, arr: np.ndarray) -> None:
     h.update(arr.tobytes())
 
 
-def side_digests(checkout: Path, seed: int) -> dict[str, str]:
-    """Child side: run each workload in ``checkout`` and digest its outputs."""
+def side_digests(checkout: Path, seeds: list[int]) -> dict[str, str]:
+    """Child side: run each workload at each seed in ``checkout`` and digest
+    its outputs, keyed ``"workload seed"``."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import prunekit
     from prunekit import workflow
@@ -63,28 +67,40 @@ def side_digests(checkout: Path, seed: int) -> dict[str, str]:
         # that each checkpoint header records is the same too.
         os.chdir(tmp)
         for name, w in sorted(WORKLOADS.items()):
-            train, test = w.make_data(seed)
-            result = workflow.run(w.config(seed, name), train_set=train, test_set=test)
-            h = hashlib.sha256()
-            for path in sorted(Path(name).iterdir()):
-                _digest_file(h, path)
-            for nid in sorted(result.weights):
-                for key in sorted(result.weights[nid]):
-                    _digest_array(h, f"{nid}/{key}", result.weights[nid][key])
-            h.update(json.dumps(result.scores).encode())
-            digests[name] = h.hexdigest()
+            for seed in seeds:
+                digests[f"{name} {seed}"] = _run_digest(workflow, w, name, seed)
     return digests
+
+
+def _run_digest(workflow, w, name: str, seed: int) -> str:
+    """Digest of one workflow's outputs, or its error when it raises."""
+    shutil.rmtree(name, ignore_errors=True)
+    train, test = w.make_data(seed)
+    try:
+        result = workflow.run(w.config(seed, name), train_set=train, test_set=test)
+    except Exception as exc:
+        return f"error {type(exc).__name__}: {exc}"
+    h = hashlib.sha256()
+    for path in sorted(Path(name).iterdir()):
+        _digest_file(h, path)
+    for nid in sorted(result.weights):
+        for key in sorted(result.weights[nid]):
+            _digest_array(h, f"{nid}/{key}", result.weights[nid][key])
+    h.update(json.dumps(result.scores).encode())
+    return h.hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, nargs="?")
     parser.add_argument("change", type=Path, nargs="?")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="workload seed; give it once per seed (default 7)")
     parser.add_argument("--side", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    seeds = args.seed or [7]
     if args.side is not None:
-        print(json.dumps(side_digests(args.side.resolve(), args.seed)))
+        print(json.dumps(side_digests(args.side.resolve(), seeds)))
         return 0
     if args.change is None:
         parser.error("give the PARENT and the CHANGE checkout")
@@ -93,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     procs = {
         side: subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--side", str(path.resolve()),
-             "--seed", str(args.seed)],
+             *(f"--seed={seed}" for seed in seeds)],
             stdout=subprocess.PIPE, text=True, env=env,
         )
         for side, path in (("parent", args.parent), ("change", args.change))
@@ -105,9 +121,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     digests = {side: json.loads(out.splitlines()[-1]) for side, out in outs.items()}
     same = digests["parent"] == digests["change"]
-    for name in sorted(digests["parent"].keys() | digests["change"].keys()):
+    # One line per (workload, seed), workloads in name order, seeds as given.
+    names = [*digests["parent"], *(k for k in digests["change"] if k not in digests["parent"])]
+    for name in names:
         a, b = digests["parent"].get(name), digests["change"].get(name)
-        print(f"{name:<18} {a}" if a == b else f"{name:<18} DIFFERENT parent {a} change {b}")
+        print(f"{name:<24} {a}" if a == b else f"{name:<24} DIFFERENT parent {a} change {b}")
     return 0 if same else 1
 
 
