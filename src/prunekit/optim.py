@@ -143,6 +143,11 @@ class Optimizer:
         decay = cfg.weight_decay != 0
         for key in present:
             p = params[key]
+            # Checked before anything changes: a group would take a gradient
+            # of another shape but the same size without complaint.
+            if np.shape(grads[key]) != p.shape:
+                raise ShapeMismatch(f"gradient for {key!r} has shape {np.shape(grads[key])}, "
+                                    f"its parameter {p.shape}")
             decayed = decay and key[0] == "w" and key[2] in _DECAYED
             if p.size > _PACK_ELEMENTS:
                 units.append(([key], [p], decayed, False))
@@ -160,10 +165,6 @@ class Optimizer:
             dtype = ps[0].dtype
             if packed:
                 g = np.concatenate([grads[key] for key in keys], axis=None, dtype=dtype)
-                if g.size != sum(p.size for p in ps):
-                    bad = next(k for k, p in zip(keys, ps) if np.size(grads[k]) != p.size)
-                    raise ShapeMismatch(f"gradient for {bad!r} has {np.size(grads[bad])} "
-                                        f"elements, its parameter {params[bad].size}")
             else:
                 g = np.asarray(grads[keys[0]], dtype=dtype)
             if not np.all(np.isfinite(g)):
@@ -175,32 +176,34 @@ class Optimizer:
         names = ("vel",) if cfg.kind == "sgd" else ("m", "v")
         packs: dict[tuple, _Pack] = {}
         sizes: dict[np.dtype, int] = {}
+        work = []  # (first key, parameters, decayed, pack or None) per unit
         for (keys, ps, decayed, packed), g in zip(units, flats):
             sizes[g.dtype] = max(sizes.get(g.dtype, 0), g.size)
+            pack = None
             if packed:
                 pack = self._packs.get((g.dtype, decayed))
                 if pack is None or not pack.held(keys, self.slots):
                     pack = _Pack(keys, ps, names, self.slots)
                 packs[g.dtype, decayed] = pack
+            work.append((keys[0], ps, decayed, pack))
         self._packs = packs
         scratch = {dtype: (np.empty(n, dtype), np.empty(n, dtype)) for dtype, n in sizes.items()}
-        for (keys, ps, decayed, packed), g in zip(units, flats):
+        for (key, ps, decayed, pack), g in zip(work, flats):
             # g may be the caller's array: it is read, never written. A
             # group's g, scratch and moments are flat, a parameter's shaped.
             s1, s2 = (a[:g.size].reshape(g.shape) for a in scratch[g.dtype])
-            pack = packs.get((g.dtype, decayed)) if packed else None
             if decayed:
-                if packed:
+                if pack is not None:
                     np.concatenate(ps, axis=None, out=s1)
                     s1 *= cfg.weight_decay
                 else:
                     np.multiply(ps[0], cfg.weight_decay, out=s1)
                 s1 += g  # g + weight_decay * p
                 g = s1
-            if packed:
+            if pack is not None:
                 moments = pack.moments
             else:
-                moments = self.slots.setdefault(keys[0], {})
+                moments = self.slots.setdefault(key, {})
                 for name in names:
                     if name not in moments:
                         moments[name] = np.zeros_like(ps[0])
@@ -224,7 +227,7 @@ class Optimizer:
                 np.sqrt(s2, out=s2)
                 s2 += cfg.eps
                 s1 /= s2
-            if packed:
+            if pack is not None:
                 for p, (a, b, shape) in zip(ps, pack.spans):
                     p -= s1[a:b].reshape(shape)
             else:

@@ -9,7 +9,6 @@ from prunekit import optim
 from prunekit.cli import main as cli_main
 from prunekit.engine import init_weights
 from prunekit.errors import CheckpointError, InvalidConfig, NonFiniteGradient, ShapeMismatch
-from prunekit.workflow import WorkflowConfig
 from prunekit.graph import TensorShape, infer_shapes
 from prunekit.graphio import serialize
 from prunekit.models import build_reference_model
@@ -22,6 +21,7 @@ from prunekit.optim import (
 )
 from prunekit.relax import init_gates
 from prunekit.subgraph import identify_subgraphs
+from prunekit.workflow import WorkflowConfig
 
 from oracles import reference_optimizer_step
 
@@ -359,10 +359,14 @@ class TestPackedGroups(TestInPlaceUpdates):
         grads[("w", "fc", "weight")] = np.full((2, 8), 1e300)
         with np.errstate(over="ignore"):
             rejected(grads, NonFiniteGradient, re.escape("('w', 'fc', 'weight')"))
-        # a gradient whose size is not its parameter's would misalign a group
-        grads = dict(steps[4][0])
-        grads[("w", "bn", "gamma")] = np.zeros(7, np.float32)
-        rejected(grads, ShapeMismatch, re.escape("('w', 'bn', 'gamma')"))
+        # a gradient of another shape, in a group (where one of another size
+        # would misalign the rest) or alone, even when broadcasting could
+        # take it
+        for key, shape in [(("w", "bn", "gamma"), (7,)), (("w", "fc", "weight"), (8, 2)),
+                           (("w", "big", "kernel"), (1, 1, 3, 3))]:
+            grads = dict(steps[4][0])
+            grads[key] = np.zeros(shape, params[key].dtype)
+            rejected(grads, ShapeMismatch, re.escape(repr(key)))
 
 
 class TestCheckpoints:
