@@ -9,9 +9,7 @@ and prints one SHA-256 artifact digest per (workload, seed). A digest covers
 what the workflow writes and returns: ``metrics.csv`` without its
 ``seconds`` column, every ``prune_step_NN.json``, ``final_graph.txt``,
 ``gates_snapshot.txt``, every checkpoint's arrays and header, the final
-folded weights and the scores. A workflow that raises gets its error's type
-and message in place of a digest, so a failing run is compared too.
-Exits 1 if a side fails or any (workload, seed) differs, 0 otherwise.
+folded weights and the scores. Exits 1 if a side fails or any (workload, seed) differs, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -68,26 +66,18 @@ def side_digests(checkout: Path, seeds: list[int]) -> dict[str, str]:
         os.chdir(tmp)
         for name, w in sorted(WORKLOADS.items()):
             for seed in seeds:
-                digests[f"{name} {seed}"] = _run_digest(workflow, w, name, seed)
+                shutil.rmtree(name, ignore_errors=True)  # the previous seed's outputs
+                train, test = w.make_data(seed)
+                result = workflow.run(w.config(seed, name), train_set=train, test_set=test)
+                h = hashlib.sha256()
+                for path in sorted(Path(name).iterdir()):
+                    _digest_file(h, path)
+                for nid in sorted(result.weights):
+                    for key in sorted(result.weights[nid]):
+                        _digest_array(h, f"{nid}/{key}", result.weights[nid][key])
+                h.update(json.dumps(result.scores).encode())
+                digests[f"{name} {seed}"] = h.hexdigest()
     return digests
-
-
-def _run_digest(workflow, w, name: str, seed: int) -> str:
-    """Digest of one workflow's outputs, or its error when it raises."""
-    shutil.rmtree(name, ignore_errors=True)
-    train, test = w.make_data(seed)
-    try:
-        result = workflow.run(w.config(seed, name), train_set=train, test_set=test)
-    except Exception as exc:
-        return f"error {type(exc).__name__}: {exc}"
-    h = hashlib.sha256()
-    for path in sorted(Path(name).iterdir()):
-        _digest_file(h, path)
-    for nid in sorted(result.weights):
-        for key in sorted(result.weights[nid]):
-            _digest_array(h, f"{nid}/{key}", result.weights[nid][key])
-    h.update(json.dumps(result.scores).encode())
-    return h.hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
